@@ -12,10 +12,6 @@
 #      schema-valid JSON
 #   0c. disk-path trace determinism: the same gate over a traced
 #      fig_disk_isolation smoke point (exercises repro.io end-to-end)
-#   0d. engine equivalence: one traced smoke experiment under each
-#      event-queue implementation (REPRO_EVENTQUEUE=heap|wheel) must
-#      export byte-identical artifacts -- the timing wheel may be
-#      faster, never different
 #   0e. SMP charging conservation: a 4-core multi-threaded server run
 #      under the sanitizer must conserve CPU time per core
 #      (accounting-core-busy, core-busy-split, overcommitted-core)
@@ -27,8 +23,7 @@
 #      unmodified host must carry a burn-rate alert
 #   0h. cluster byte-determinism: a 5-host cluster run (balancer + 4
 #      backends, global principals, SYN flood) hashed over every
-#      host's trace must be identical across two same-seed runs and
-#      across the heap/wheel event-queue engines
+#      host's trace must be identical across two same-seed runs
 #   1. tier-1 unit/integration/property tests (the hard gate)
 #   2. the perf-marker scalability smoke vs BENCH_scalability.json
 #   3. a Figure 11 regeneration through the parallel sweep engine
@@ -80,15 +75,6 @@ done
 grep -q '"subsystem":"disk"' "$TRACE_TMP/run3/trace.jsonl" \
   || { echo "disk trace FAILED: no disk slices in trace.jsonl"; exit 1; }
 echo "disk trace determinism OK (byte-identical across runs)"
-
-echo "== tier-0d: heap/wheel engine equivalence =="
-REPRO_EVENTQUEUE=heap python -m repro trace fig11 --smoke --trace-out "$TRACE_TMP/heap" >/dev/null
-REPRO_EVENTQUEUE=wheel python -m repro trace fig11 --smoke --trace-out "$TRACE_TMP/wheel" >/dev/null
-for artifact in trace.jsonl trace-events.json flame.txt metrics.json; do
-  cmp "$TRACE_TMP/heap/$artifact" "$TRACE_TMP/wheel/$artifact" \
-    || { echo "engine equivalence FAILED: $artifact differs between heap and wheel"; exit 1; }
-done
-echo "engine equivalence OK (heap and wheel traces byte-identical)"
 
 echo "== tier-0e: SMP charging conservation (4 cores) =="
 python - <<'PYEOF'
@@ -172,11 +158,9 @@ def reset_id_counters():
         setattr(mod, attr, itertools.count(1))
 
 
-def digest(seed, queue=None):
+def digest(seed):
     reset_id_counters()
-    cluster, _balancer, _principals = build_cluster(
-        "bound", 4, seed=seed, queue=queue
-    )
+    cluster, _balancer, _principals = build_cluster("bound", 4, seed=seed)
     records = cluster.sim.trace.record(
         ["cpu.slice", "lb.forward", "lb.splice", "cluster.window"]
     )
@@ -199,10 +183,8 @@ def digest(seed, queue=None):
 first = digest(seed=31)
 if digest(seed=31) != first:
     raise SystemExit("cluster determinism FAILED: same seed diverged")
-if digest(seed=31, queue="heap") != digest(seed=31, queue="wheel"):
-    raise SystemExit("cluster determinism FAILED: heap and wheel disagree")
 print(f"cluster determinism OK (5-host digest {first[:12]} stable "
-      "across runs and queue engines)")
+      "across runs)")
 PYEOF
 
 echo "== tier-1: pytest =="

@@ -72,15 +72,12 @@ class Host:
         config: "KernelConfig | None" = None,
         sanitize: bool = False,
         observe: bool = False,
-        queue: "str | None" = None,
     ) -> None:
         if config is None:
             config = KernelConfig(mode=mode)
         elif config.mode is not mode:
             config.mode = mode
-        self.sim = Simulation(
-            seed=seed, sanitize=sanitize, observe=observe, queue=queue
-        )
+        self.sim = Simulation(seed=seed, sanitize=sanitize, observe=observe)
         self.kernel = Kernel(self.sim, costs=costs, config=config)
 
     @property

@@ -394,16 +394,14 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=[
             *EXPERIMENTS, "all", "list", "bench", "bench-sweep",
-            "bench-engine", "bench-obs", "bench-cluster",
+            "bench-obs", "bench-cluster",
             "lint", "analyze", "check", "sanitize", "trace", "report",
             "monitor",
         ],
         help="which experiment to run ('bench' runs the scheduler "
         "scalability sweep and writes BENCH_scalability.json; "
         "'bench-sweep' benchmarks the parallel sweep engine and writes "
-        "BENCH_sweep.json; 'bench-engine' benchmarks event-dispatch "
-        "throughput across queue implementations and writes "
-        "BENCH_engine.json; 'lint' runs the determinism lint over the "
+        "BENCH_sweep.json; 'lint' runs the determinism lint over the "
         "repro source tree; 'analyze' runs the whole-program "
         "charging/shard-protocol/units analyzer; 'check' runs lint + "
         "analyze off one shared parse; 'sanitize <experiment>' re-runs an "
@@ -487,7 +485,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{key:10s} {description}")
         print(f"{'bench':10s} Scheduler scalability sweep (10/100/1000)")
         print(f"{'bench-sweep':10s} Parallel sweep engine / cache benchmark")
-        print(f"{'bench-engine':10s} Event-engine throughput (heap vs wheel)")
         print(f"{'bench-obs':10s} Observability overhead (off/observe/windows)")
         print(f"{'bench-cluster':10s} Multi-host cluster simulation (2/8/32)")
         return 0
@@ -552,20 +549,6 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(result, indent=2))
         else:
             print(bench_scalability.render(result))
-        print(f"[wrote {path}]", file=sys.stderr)
-        return 0
-
-    if args.experiment == "bench-engine":
-        from repro.experiments import bench_engine
-
-        result = bench_engine.run()
-        path = bench_engine.write_json(result)
-        if args.json:
-            import json
-
-            print(json.dumps(result, indent=2))
-        else:
-            print(bench_engine.render(result))
         print(f"[wrote {path}]", file=sys.stderr)
         return 0
 

@@ -87,10 +87,6 @@ FILE_ALLOWLIST: dict[str, dict[str, str]] = {
         "DET101": "bench harness: measures cold/warm sweep wall time; "
         "results go to BENCH_sweep.json, not the cache",
     },
-    "experiments/bench_engine.py": {
-        "DET101": "bench harness: measures host wall time of engine "
-        "event dispatch; results go to BENCH_engine.json, not the cache",
-    },
     "experiments/bench_obs.py": {
         "DET101": "bench harness: measures host wall time of the "
         "telemetry pipeline; results go to BENCH_obs.json, not the cache",

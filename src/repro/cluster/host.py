@@ -92,13 +92,10 @@ class Cluster:
         bytes_per_us: float = DEFAULT_BYTES_PER_US,
         sanitize: bool = False,
         observe: bool = False,
-        queue: Optional[str] = None,
     ) -> None:
         self.mode = mode
         self.costs = costs
-        self.sim = Simulation(
-            seed=seed, sanitize=sanitize, observe=observe, queue=queue
-        )
+        self.sim = Simulation(seed=seed, sanitize=sanitize, observe=observe)
         self.fabric = Fabric(
             self.sim, latency_us=latency_us, bytes_per_us=bytes_per_us
         )

@@ -40,11 +40,9 @@ MEASURE_S = 0.4
 SEED = 90
 
 
-def bench_point(n_backends: int, queue: "str | None" = None) -> dict:
+def bench_point(n_backends: int) -> dict:
     """Boot, warm up, and measure one cluster size."""
-    cluster, balancer, principals = build_cluster(
-        "bound", n_backends, seed=SEED, queue=queue
-    )
+    cluster, balancer, principals = build_cluster("bound", n_backends, seed=SEED)
     latencies_us: list = []
     _start_clients(cluster, n_backends, False, latencies_us)
     cluster.run(seconds=WARMUP_S)

@@ -12,9 +12,9 @@ workloads, across three instrumentation modes:
 
 Workloads:
 
-* ``drain``      -- the 1000-container pre-armed event backlog from
-  ``bench-engine``: pure event-loop dispatch, no instrumented sites
-  fire, so any cost here is pipeline *attachment* overhead;
+* ``drain``      -- a 1000-container pre-armed event backlog: pure
+  event-loop dispatch, no instrumented sites fire, so any cost here is
+  pipeline *attachment* overhead;
 * ``end_to_end`` -- a full RC kernel with 100 CPU-bound processes for
   one simulated second: every slice publishes ``cpu.slice``, the
   worst realistic record rate per simulated second.
@@ -31,8 +31,8 @@ import json
 import os
 import time
 
-from repro.experiments.bench_engine import _drain_sim, _spinner_body
 from repro.obs import observe
+from repro.sim.engine import Simulation
 
 #: Best-of repeats per cell (same protocol as the other benches).
 REPEATS = 3
@@ -53,18 +53,45 @@ WINDOW_US = 100_000.0
 MODES = ("off", "observe", "windows")
 
 
+def _noop() -> None:
+    pass
+
+
+def _drain_sim(containers: int, events: int) -> Simulation:
+    """A pre-armed backlog: ``events / containers`` events per
+    container, one staggered round of all containers per simulated ms."""
+    sim = Simulation()
+    per = max(1, events // containers)
+    for j in range(per):
+        base = 1_000.0 * j
+        for i in range(containers):
+            sim.at(base + i * 0.9, _noop)
+    return sim
+
+
+def _spinner_body(compute_us: float):
+    """A process body that computes forever in ``compute_us`` bursts."""
+    from repro.syscall import api
+
+    def body():
+        while True:
+            yield api.Compute(compute_us)
+
+    return body
+
+
 def _drain_point(mode: str) -> dict:
     """Dispatch the pre-armed backlog under one instrumentation mode."""
     best = None
     for _ in range(REPEATS):
-        sim = _drain_sim(None, DRAIN_CONTAINERS, DRAIN_EVENTS + 2_000)
+        sim = _drain_sim(DRAIN_CONTAINERS, DRAIN_EVENTS + 2_000)
         if mode != "off":
             observe.Observability(
                 sim,
                 register=False,
                 window_us=WINDOW_US if mode == "windows" else 0.0,
             )
-        sim.run(max_events=2_000)  # warm pools, caches, and wheels
+        sim.run(max_events=2_000)  # warm caches
         started = time.perf_counter()
         sim.run(max_events=DRAIN_EVENTS)
         elapsed = time.perf_counter() - started

@@ -35,8 +35,6 @@ does the same for an activity that spans a cluster (section 7's
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.httpserver import MultiThreadedServer
 from repro.apps.synflood import SynFlooder
 from repro.apps.webclient import HttpClient
@@ -95,7 +93,6 @@ def build_cluster(
     seed: int,
     sanitize: bool = False,
     observe: bool = False,
-    queue: Optional[str] = None,
 ):
     """One front-end + ``n_backends`` cluster in the named config.
 
@@ -107,9 +104,7 @@ def build_cluster(
         raise ValueError(f"unknown cluster config: {config!r}")
     bound = config == "bound"
     mode = SystemMode.RC if bound else SystemMode.UNMODIFIED
-    cluster = Cluster(
-        mode=mode, seed=seed, sanitize=sanitize, observe=observe, queue=queue
-    )
+    cluster = Cluster(mode=mode, seed=seed, sanitize=sanitize, observe=observe)
     cluster.add_host("lb", n_cpus=2, irq_core=1)
     names = [f"be-{index:02d}" for index in range(n_backends)]
     for name in names:

@@ -56,9 +56,14 @@ class ClientEndpoint(Protocol):
         """The server closed the connection."""
 
 
-@dataclass
+@dataclass(eq=False)
 class HalfOpen:
-    """A SYN-queue entry: an embryonic connection awaiting its ACK."""
+    """A SYN-queue entry: an embryonic connection awaiting its ACK.
+
+    Compared by identity: two SYNs with equal fields are still two
+    embryonic connections, and ``syn_queue.remove`` must take the one
+    the ACK names.
+    """
 
     client: ClientEndpoint
     src_addr: int

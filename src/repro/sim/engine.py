@@ -12,8 +12,7 @@ The dispatch loop is the hottest code in the repository -- every slice,
 packet, and timer passes through it -- so it is written allocation-free:
 bound methods are hoisted out of the loop, the clock is advanced by
 direct attribute store (queue order already guarantees monotonicity),
-and the popped event's fields are read before its callback runs because
-the pooling queue recycles event objects on pop.
+and the per-event loop itself lives in :meth:`EventQueue.dispatch_batch`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
-from repro.sim.events import Event, make_event_queue
+from repro.sim.events import Event, EventQueue
 from repro.sim.rng import SeededRng
 from repro.sim.tracing import TraceBus
 
@@ -42,8 +41,6 @@ class Simulation:
             :class:`repro.obs.Observability` (metrics registry, request
             tracer, profiler).  Also observational; ``REPRO_TRACE``
             enables it globally (kernels check both).
-        queue: event-queue implementation override ("wheel" or "heap");
-            None honours the ``REPRO_EVENTQUEUE`` environment variable.
     """
 
     def __init__(
@@ -52,10 +49,9 @@ class Simulation:
         trace: Optional[TraceBus] = None,
         sanitize: bool = False,
         observe: bool = False,
-        queue: Optional[str] = None,
     ) -> None:
         self.clock = Clock()
-        self.queue = make_event_queue(queue)
+        self.queue = EventQueue()
         self.rng = SeededRng(seed)
         self.trace = trace if trace is not None else TraceBus()
         self.sanitize = bool(sanitize)
@@ -101,9 +97,8 @@ class Simulation:
     def cancel(self, event: Event, seq: Optional[int] = None) -> None:
         """Cancel a pending event.
 
-        ``seq`` is the generation guard for holders whose handle may have
-        fired already: pass ``event.seq`` as recorded at schedule time and
-        a recycled handle is ignored instead of cancelling its successor.
+        ``seq`` guards the call: pass ``event.seq`` as recorded at
+        schedule time and a handle that does not carry it is ignored.
         """
         self.queue.cancel(event, seq)
 

@@ -1,41 +1,19 @@
-"""Event queues for the discrete-event engine.
+"""The event queue for the discrete-event engine.
 
-Two interchangeable implementations live here, selected by
-:func:`make_event_queue` (environment variable ``REPRO_EVENTQUEUE``):
+:class:`EventQueue` is a binary heap of ``(when, seq, event)`` tuples.
+The sequence number breaks ties deterministically, so two events
+scheduled for the same instant fire in the order they were scheduled;
+because every ``seq`` is unique, ordering never reaches the ``Event``
+and every comparison is a C-level tuple compare.
 
-``heap``
-    The original binary heap keyed on ``(time, sequence)``.  Cancellation
-    is lazy with periodic compaction.  Kept as the differential-testing
-    reference: the wheel must reproduce its dispatch order bit for bit.
-
-``wheel`` (default)
-    A hierarchical timing wheel: a 256-slot short-horizon level sized for
-    the dominant quantum/timeout scales, a 256-slot overflow level that
-    cascades into it, and a far-future heap for everything beyond both
-    horizons.  Slot occupancy is tracked in integer bitmasks so finding
-    the next populated slot is a couple of arithmetic ops, scheduling and
-    cancelling are O(1), and events are drawn from a free-list pool so a
-    steady-state run allocates no ``Event`` objects at all.
-
-Both queues order events by ``(when, seq)``: the sequence number breaks
-ties deterministically, so two events scheduled for the same instant fire
-in the order they were scheduled.
-
-Pooling and generations: the wheel recycles ``Event`` objects on fire and
-on cancel.  A recycled object keeps its fields until the next
-``schedule()`` reuses it, at which point it gets a *new* sequence number.
-The sequence number therefore doubles as a generation counter: internal
-bucket entries carry the sequence they were scheduled with and are
-ignored if the object has since been recycled, and ``cancel(event, seq)``
-refuses to act on a handle whose sequence no longer matches (a stale
-handle can never cancel its successor).  See ``docs/ENGINE.md``.
+Cancellation is lazy with periodic compaction, and ``Event`` objects are
+never recycled: a handle keeps reporting ``pending`` truthfully for as
+long as its holder keeps it.  See ``docs/ENGINE.md``.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from bisect import insort
 from typing import Any, Callable, Optional
 
 
@@ -44,9 +22,8 @@ class Event:
 
     Events are created through ``schedule()``; user code holds on to the
     returned handle only if it may need to cancel it (for example, a CPU
-    time-slice completion that an interrupt preempts).  Holders that may
-    outlive the event's firing should also record ``event.seq`` and pass
-    it to ``cancel`` so a pooled, recycled handle is detected.
+    time-slice completion that an interrupt preempts) and cancels it
+    through the queue (``Simulation.cancel``).
     """
 
     __slots__ = ("when", "seq", "callback", "args", "cancelled", "fired")
@@ -65,17 +42,10 @@ class Event:
         self.cancelled = False
         self.fired = False
 
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        self.cancelled = True
-
     @property
     def pending(self) -> bool:
         """True while the event is still going to fire."""
         return not self.cancelled and not self.fired
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
@@ -85,38 +55,12 @@ class Event:
 
 #: Compaction is considered only once at least this many cancelled
 #: entries sit in the heap; below it, rebuilding costs more than the
-#: dead weight.  Per-queue override: ``compact_min_dead=``.
+#: dead weight.
 COMPACT_MIN_DEAD = 64
-
-#: Timing-wheel granularity: one slot covers this many microseconds.
-#: 64us puts a full scheduler quantum (1000us) ~16 slots out and the
-#: whole short-horizon level at ~16ms -- past every quantum, protocol
-#: timeout, and accounting window the experiments use.
-WHEEL_GRANULARITY_US = 64.0
-
-#: Environment switch selecting the queue implementation ("wheel" or
-#: "heap"); used by verify.sh tier-0d to diff trace digests across both.
-EVENTQUEUE_ENV = "REPRO_EVENTQUEUE"
-
-#: Environment override for the compaction floor (an integer); the
-#: ``compact_min_dead=`` constructor argument wins over it.  Lets the
-#: bench harness sweep the floor without plumbing a parameter through
-#: ``Simulation``.
-COMPACT_ENV = "REPRO_COMPACT_MIN_DEAD"
-
-
-def _resolve_compact_min_dead(value: "Optional[int]") -> int:
-    """ctor argument > $REPRO_COMPACT_MIN_DEAD > module default."""
-    if value is not None:
-        return int(value)
-    env = os.environ.get(COMPACT_ENV, "")
-    if env:
-        return int(env)
-    return COMPACT_MIN_DEAD
 
 
 class EventQueue:
-    """Deterministic priority queue of :class:`Event` objects (heap).
+    """Deterministic priority queue of :class:`Event` objects.
 
     Cancellation is lazy (the heap skips dead entries on pop), which is
     O(1) per cancel but lets timer-churn workloads -- preemption
@@ -125,20 +69,17 @@ class EventQueue:
     When dead entries outnumber live ones (past a small floor) the heap
     is rebuilt with only the live entries: O(live) per compaction,
     amortised O(1) per cancel.
-
-    This implementation never recycles ``Event`` objects (pooled reuse
-    would corrupt entries still inside the heap), so it is also the
-    reference for handle-lifetime semantics.
     """
 
-    def __init__(self, compact_min_dead: Optional[int] = None) -> None:
-        self._heap: list[Event] = []
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
         #: Cancelled-but-still-heaped entries (fired ones leave on pop).
         self._dead = 0
-        self._compact_min_dead = _resolve_compact_min_dead(compact_min_dead)
+        self._compact_min_dead = COMPACT_MIN_DEAD
         self.compactions = 0
+        #: Cancels ignored because the handle's sequence did not match.
         self.stale_cancels = 0
 
     def __len__(self) -> int:
@@ -149,26 +90,26 @@ class EventQueue:
         self, when: float, callback: Callable[..., None], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` to run at simulated time ``when``."""
-        event = Event(when, self._seq, callback, args)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(when, seq, callback, args)
         self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def cancel(self, event: Event, seq: Optional[int] = None) -> None:
         """Cancel a pending event (lazy removal from the heap).
 
-        ``seq`` guards against stale handles: when given, the cancel is
-        ignored unless the event still carries that sequence number.
-        The heap never recycles events, so the guard only ever rejects
-        handles that were already misused; it exists for API parity with
-        the pooling wheel queue.
+        ``seq`` guards against mismatched handles: when given, the cancel
+        is ignored (and counted in ``stale_cancels``) unless the event
+        carries that sequence number.  Cancelling an event that already
+        fired or was cancelled is a no-op.
         """
         if seq is not None and event.seq != seq:
             self.stale_cancels += 1
             return
-        if event.pending:
-            event.cancel()
+        if not event.cancelled and not event.fired:
+            event.cancelled = True
             self._live -= 1
             self._dead += 1
             if self._dead > self._live and self._dead >= self._compact_min_dead:
@@ -176,17 +117,23 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap with live entries only."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
         self.compactions += 1
+
+    def _drop_dead(self) -> None:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._dead -= 1
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         self._drop_dead()
         if not self._heap:
             return None
-        return self._heap[0].when
+        return self._heap[0][0]
 
     def pop_due(self, until: Optional[float] = None) -> "tuple[Optional[Event], Optional[float]]":
         """Fused peek+pop: one dead-entry sweep and one root inspection.
@@ -198,31 +145,21 @@ class EventQueue:
         * ``(None, head_time)`` -- the bound was hit; the head event stays
           queued and fires at ``head_time``;
         * ``(None, None)`` -- the queue is empty.
-
-        The simulation loop calls this once per dispatched event where it
-        previously paid ``peek_time()`` + ``pop()`` -- two ``_drop_dead``
-        sweeps and two heap-root reads per event.
         """
         self._drop_dead()
         if not self._heap:
             return None, None
-        head = self._heap[0]
-        if until is not None and head.when > until:
-            return None, head.when
-        heapq.heappop(self._heap)
-        head.fired = True
+        when = self._heap[0][0]
+        if until is not None and when > until:
+            return None, when
+        event = heapq.heappop(self._heap)[2]
+        event.fired = True
         self._live -= 1
-        return head, head.when
+        return event, when
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next pending event, or None when empty."""
-        self._drop_dead()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)
-        event.fired = True
-        self._live -= 1
-        return event
+        return self.pop_due()[0]
 
     def dispatch_batch(
         self, sim: Any, clock: Any, until: Optional[float], limit: int
@@ -247,390 +184,30 @@ class EventQueue:
                 # Re-read per event: a callback's cancel can trigger
                 # _compact(), which rebinds self._heap to a fresh list.
                 heap = self._heap
-                while heap:
-                    head = heap[0]
-                    if not head.cancelled:
-                        break
-                    pop(heap)
-                    self._dead -= 1
-                else:
+                if not heap:
                     return None, True
-                when = head.when
+                # Pop first and push back on the (once per run) bound
+                # hit: keys are unique, so the pop order never depends
+                # on the heap's internal layout.
+                entry = pop(heap)
+                when, _seq, event = entry
+                if event.cancelled:
+                    self._dead -= 1
+                    continue
                 if when > bound:
+                    heapq.heappush(heap, entry)
                     return when, False
-                pop(heap)
-                head.fired = True
+                event.fired = True
                 self._live -= 1
                 clock._now = when
-                args = head.args
+                args = event.args
                 if args:
-                    head.callback(*args)
+                    event.callback(*args)
                 else:
-                    head.callback()
+                    event.callback()
                 dispatched += 1
                 if sim._stop_requested:
                     break
             return None, False
         finally:
             sim._events_dispatched += dispatched
-
-    def _drop_dead(self) -> None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-
-
-class TimingWheelQueue:
-    """Hierarchical timing wheel with the same observable order as
-    :class:`EventQueue`.
-
-    Layout (absolute, aligned windows -- not cursor-relative):
-
-    * an event's *tick* is ``int(when / granularity)``;
-    * level 0 holds events whose ``tick >> 8`` equals the current L0
-      block: 256 slots of one tick each (~16ms horizon at 64us);
-    * level 1 holds events in the current ``tick >> 16`` block but not
-      the current L0 block: 256 slots of 256 ticks each (~4.2s horizon);
-    * everything later sits in a far-future heap of
-      ``(when, seq, event)`` tuples (C-speed tuple comparisons).
-
-    Aligned windows are what make global ordering exact: every L1 entry
-    is strictly later than every remaining L0 entry, and every far-heap
-    entry is strictly later than every L1 entry, so draining is simply
-    L0 slot-by-slot, cascading the next L1 slot when L0 empties, and
-    refilling L1 from the heap when both empty.  Slot buckets are
-    unsorted append-only lists sorted once at drain time (Timsort, in
-    C), which preserves the exact ``(when, seq)`` order within a tick.
-
-    The drained tick lives in ``_active`` with a read cursor; schedules
-    at or before the current tick are bisect-inserted after the cursor,
-    exactly where the heap would surface them.
-
-    Cancel is O(1): mark the event, recycle the object, and let the
-    stale bucket entry be dropped at drain time (its recorded ``seq`` no
-    longer matches, or the object is still marked cancelled).  Only the
-    far-future heap can accumulate stale entries long-term, so it is
-    compacted on the heap queue's dead-entry policy.
-    """
-
-    def __init__(
-        self,
-        granularity_us: float = WHEEL_GRANULARITY_US,
-        compact_min_dead: Optional[int] = None,
-    ) -> None:
-        if granularity_us <= 0:
-            raise ValueError(f"granularity must be positive: {granularity_us}")
-        self._gran = float(granularity_us)
-        self._slots0: list[list] = [[] for _ in range(256)]
-        self._slots1: list[list] = [[] for _ in range(256)]
-        self._mask0 = 0
-        self._mask1 = 0
-        self._far: list[tuple] = []
-        self._far_dead = 0
-        #: Entries of the current tick, sorted; _active_pos is the read
-        #: cursor (everything before it is consumed).
-        self._active: list[tuple] = []
-        self._active_pos = 0
-        #: Last tick drained into _active (-1 before the first drain).
-        self._cursor = -1
-        self._block0 = 0
-        self._block1 = 0
-        self._seq = 0
-        self._live = 0
-        self._pool: list[Event] = []
-        self._compact_min_dead = _resolve_compact_min_dead(compact_min_dead)
-        #: Far-heap rebuilds (the wheel's analogue of heap compaction).
-        self.compactions = 0
-        #: Cancels ignored because the handle's generation was stale.
-        self.stale_cancels = 0
-        #: Events served from the free list instead of allocated.
-        self.pool_hits = 0
-
-    def __len__(self) -> int:
-        """Number of pending (not cancelled, not fired) events."""
-        return self._live
-
-    # ------------------------------------------------------------------
-    # Scheduling / cancelling
-    # ------------------------------------------------------------------
-
-    def schedule(
-        self, when: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Schedule ``callback(*args)`` to run at simulated time ``when``."""
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.when = when
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-            self.pool_hits += 1
-        else:
-            event = Event(when, seq, callback, args)
-        self._live += 1
-        tick = int(when / self._gran)
-        if tick <= self._cursor:
-            # At or before the tick being drained: surface it exactly
-            # where the heap would -- in (when, seq) order after the
-            # entries already consumed.
-            insort(self._active, (when, seq, event), lo=self._active_pos)
-        elif (tick >> 8) == self._block0:
-            slot = tick & 255
-            self._slots0[slot].append((when, seq, event))
-            self._mask0 |= 1 << slot
-        elif (tick >> 16) == self._block1:
-            slot = (tick >> 8) & 255
-            self._slots1[slot].append((when, seq, event))
-            self._mask1 |= 1 << slot
-        else:
-            heapq.heappush(self._far, (when, seq, event))
-        return event
-
-    def cancel(self, event: Event, seq: Optional[int] = None) -> None:
-        """Cancel a pending event in O(1).
-
-        ``seq`` is the generation guard: pass the sequence number
-        recorded when the event was scheduled, and a handle whose object
-        has since been recycled for a newer event is ignored instead of
-        cancelling its successor.  Without ``seq`` the call trusts the
-        handle (safe only if the holder cannot have outlived the fire).
-        """
-        if seq is not None and event.seq != seq:
-            self.stale_cancels += 1
-            return
-        if event.cancelled or event.fired:
-            return
-        event.cancelled = True
-        self._live -= 1
-        self._pool.append(event)
-        # The bucket entry is dropped lazily at drain time.  Only the
-        # far heap outlives drains, so count its dead for compaction.
-        if int(event.when / self._gran) >> 16 > self._block1:
-            self._far_dead += 1
-            if (
-                self._far_dead >= self._compact_min_dead
-                and self._far_dead * 2 > len(self._far)
-            ):
-                self._compact_far()
-
-    def _compact_far(self) -> None:
-        """Rebuild the far-future heap with live entries only."""
-        self._far = [
-            entry
-            for entry in self._far
-            if entry[2].seq == entry[1] and not entry[2].cancelled
-        ]
-        heapq.heapify(self._far)
-        self._far_dead = 0
-        self.compactions += 1
-
-    # ------------------------------------------------------------------
-    # Draining
-    # ------------------------------------------------------------------
-
-    def _advance(self) -> None:
-        """Load the next populated tick into ``_active``.
-
-        Caller guarantees ``_live > 0`` and that ``_active`` is fully
-        consumed.  Bitmask invariant: no set bit lies below the drain
-        position of its level, so ``(m & -m)`` always finds the earliest
-        populated slot.
-        """
-        while True:
-            base0 = self._block0 << 8
-            start = self._cursor + 1 - base0
-            if start < 0:
-                start = 0
-            if start < 256:
-                m = self._mask0 >> start
-                if m:
-                    slot = start + ((m & -m).bit_length() - 1)
-                    bucket = self._slots0[slot]
-                    # Recycle the consumed active list as the new slot
-                    # bucket: steady state allocates no lists at all.
-                    old = self._active
-                    old.clear()
-                    self._slots0[slot] = old
-                    self._mask0 &= ~(1 << slot)
-                    self._cursor = base0 + slot
-                    bucket.sort()
-                    self._active = bucket
-                    self._active_pos = 0
-                    return
-            # L0 block exhausted: cascade the next populated L1 slot.
-            base1 = self._block1 << 8
-            startb = self._block0 + 1 - base1
-            if startb < 0:
-                startb = 0
-            if startb < 256:
-                m = self._mask1 >> startb
-                if m:
-                    b = startb + ((m & -m).bit_length() - 1)
-                    self._mask1 &= ~(1 << b)
-                    self._block0 = base1 + b
-                    bucket1 = self._slots1[b]
-                    slots0 = self._slots0
-                    mask0 = self._mask0
-                    gran = self._gran
-                    for entry in bucket1:
-                        slot = int(entry[0] / gran) & 255
-                        slots0[slot].append(entry)
-                        mask0 |= 1 << slot
-                    bucket1.clear()
-                    self._mask0 = mask0
-                    continue
-            # L1 block exhausted too: refill from the far-future heap.
-            far = self._far
-            if not far:  # pragma: no cover - guarded by _live in callers
-                return
-            gran = self._gran
-            block1 = int(far[0][0] / gran) >> 16
-            self._block1 = block1
-            # Restart both scans at the front of the new block.
-            self._block0 = (block1 << 8) - 1
-            slots1 = self._slots1
-            while far and int(far[0][0] / gran) >> 16 == block1:
-                entry = heapq.heappop(far)
-                ev = entry[2]
-                if ev.seq != entry[1] or ev.cancelled:
-                    continue  # stale entry: drop during the move
-                slots1[(int(entry[0] / gran) >> 8) & 255].append(entry)
-                self._mask1 |= 1 << ((int(entry[0] / gran) >> 8) & 255)
-            if self._far_dead > len(far):
-                self._far_dead = len(far)
-
-    def pop_due(self, until: Optional[float] = None) -> "tuple[Optional[Event], Optional[float]]":
-        """Fused peek+pop; same contract as :meth:`EventQueue.pop_due`.
-
-        The returned event has been recycled into the free list: its
-        fields stay valid until the next ``schedule()`` call, so read
-        ``callback``/``args`` before running code that may schedule.
-        """
-        active = self._active
-        pos = self._active_pos
-        while True:
-            n = len(active)
-            while pos < n:
-                when, seq, ev = active[pos]
-                if ev.seq != seq or ev.cancelled:
-                    pos += 1
-                    continue
-                if until is not None and when > until:
-                    self._active_pos = pos
-                    return None, when
-                self._active_pos = pos + 1
-                ev.fired = True
-                self._live -= 1
-                self._pool.append(ev)
-                return ev, when
-            self._active_pos = pos
-            if self._live == 0:
-                return None, None
-            self._advance()
-            active = self._active
-            pos = self._active_pos
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is empty."""
-        active = self._active
-        pos = self._active_pos
-        while True:
-            n = len(active)
-            while pos < n:
-                when, seq, ev = active[pos]
-                if ev.seq == seq and not ev.cancelled:
-                    self._active_pos = pos
-                    return when
-                pos += 1
-            self._active_pos = pos
-            if self._live == 0:
-                return None
-            self._advance()
-            active = self._active
-            pos = self._active_pos
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next pending event, or None when empty."""
-        event, _ = self.pop_due()
-        return event
-
-    def dispatch_batch(
-        self, sim: Any, clock: Any, until: Optional[float], limit: int
-    ) -> "tuple[float | None, bool]":
-        """Dispatch up to ``limit`` due events, advancing ``clock`` in place.
-
-        Same contract as :meth:`EventQueue.dispatch_batch`.  The active
-        list object is stable across callbacks (``schedule`` only ever
-        bisect-inserts into it, at or after the cursor), so the loop
-        keeps it in a local and re-reads just the cursor and length
-        after each callback.
-        """
-        pool = self._pool
-        bound = float("inf") if until is None else until
-        dispatched = 0
-        try:
-            while True:
-                active = self._active
-                pos = self._active_pos
-                n = len(active)
-                while pos < n:
-                    if dispatched >= limit:
-                        self._active_pos = pos
-                        return None, False
-                    when, seq, ev = active[pos]
-                    if ev.seq != seq or ev.cancelled:
-                        pos += 1
-                        continue
-                    if when > bound:
-                        self._active_pos = pos
-                        return when, False
-                    self._active_pos = pos + 1
-                    ev.fired = True
-                    self._live -= 1
-                    pool.append(ev)
-                    clock._now = when
-                    args = ev.args
-                    if args:
-                        ev.callback(*args)
-                    else:
-                        ev.callback()
-                    dispatched += 1
-                    if sim._stop_requested:
-                        return None, False
-                    pos = self._active_pos
-                    n = len(active)
-                self._active_pos = pos
-                if self._live == 0:
-                    return None, True
-                if dispatched >= limit:
-                    return None, False
-                self._advance()
-        finally:
-            sim._events_dispatched += dispatched
-
-
-def make_event_queue(kind: Optional[str] = None, **kwargs: Any):
-    """Build the configured event queue.
-
-    Args:
-        kind: ``"wheel"`` (default) or ``"heap"``; None reads the
-            ``REPRO_EVENTQUEUE`` environment variable.
-        kwargs: passed to the queue constructor (``compact_min_dead``,
-            and ``granularity_us`` for the wheel).
-    """
-    if kind is None:
-        kind = os.environ.get(EVENTQUEUE_ENV, "") or "wheel"
-    kind = kind.strip().lower()
-    if kind == "wheel":
-        return TimingWheelQueue(**kwargs)
-    if kind == "heap":
-        return EventQueue(**kwargs)
-    raise ValueError(
-        f"unknown event queue kind {kind!r} (expected 'wheel' or 'heap')"
-    )

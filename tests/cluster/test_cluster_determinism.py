@@ -1,11 +1,10 @@
-"""Byte-identical cluster runs: per seed and across queue engines.
+"""Byte-identical cluster runs per seed.
 
 An 8-host cluster (balancer + 8 backends, two tenants, aggressors and
 a SYN flood in play) is hashed over every ``cpu.slice`` record on every
 host plus the balancer's forward/splice decisions.  Two invocations of
-the same seed must agree bit-for-bit, the heap and wheel event queues
-must agree with each other, and a different seed must disagree (the
-digest actually covers the schedule).
+the same seed must agree bit-for-bit, and a different seed must
+disagree (the digest actually covers the schedule).
 """
 
 import contextlib
@@ -57,12 +56,11 @@ def _fresh_id_counters():
             setattr(mod, attr, counter)
 
 
-def cluster_digest(seed: int = 31, n_backends: int = 8,
-                   queue: "str | None" = None) -> str:
+def cluster_digest(seed: int = 31, n_backends: int = 8) -> str:
     """Digest of a seeded 8-host cluster run's full trace."""
     with _fresh_id_counters():
         cluster, _balancer, _principals = build_cluster(
-            "bound", n_backends, seed=seed, queue=queue
+            "bound", n_backends, seed=seed
         )
         records = cluster.sim.trace.record(
             ["cpu.slice", "lb.forward", "lb.splice", "cluster.window"]
@@ -87,12 +85,6 @@ def cluster_digest(seed: int = 31, n_backends: int = 8,
 
 def test_same_seed_same_digest():
     assert cluster_digest(seed=31) == cluster_digest(seed=31)
-
-
-def test_heap_and_wheel_engines_agree():
-    assert cluster_digest(seed=31, queue="heap") == cluster_digest(
-        seed=31, queue="wheel"
-    )
 
 
 def test_different_seed_different_digest():

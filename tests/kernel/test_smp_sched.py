@@ -5,7 +5,7 @@ core, dequeue-on-dispatch, and a container-aware balancer with work
 stealing.  These tests pin the properties that rework must not lose:
 
 * seeded SMP runs are byte-deterministic (same digest twice) at 2 and
-  4 cores, on both event-queue engines (wheel == heap);
+  4 cores;
 * the legacy single-queue ``pick()`` protocol and the per-CPU
   ``pick_for_cpu``/``on_slice_end`` protocol produce the *same
   schedule* on one CPU (the pre-SMP behaviour is a special case);
@@ -51,10 +51,10 @@ def _server_host(n_cpus: int, seed: int = 29, **host_kwargs) -> Host:
     return host
 
 
-def _smp_digest(n_cpus: int, seed: int = 29, queue=None) -> str:
+def _smp_digest(n_cpus: int, seed: int = 29) -> str:
     """Digest of every CPU slice (with its core) of a seeded SMP run."""
     with _fresh_id_counters():
-        host = _server_host(n_cpus, seed=seed, queue=queue)
+        host = _server_host(n_cpus, seed=seed)
         records = host.sim.trace.record(["cpu.slice"])
         host.run(seconds=0.2)
     digest = hashlib.sha256()
@@ -72,12 +72,6 @@ def _smp_digest(n_cpus: int, seed: int = 29, queue=None) -> str:
 @pytest.mark.parametrize("n_cpus", [2, 4])
 def test_smp_schedule_digest_is_deterministic(n_cpus):
     assert _smp_digest(n_cpus) == _smp_digest(n_cpus)
-
-
-def test_wheel_and_heap_engines_agree_at_4_cpus():
-    """The timing-wheel event queue must reproduce the binary heap's
-    dispatch order bit for bit, SMP dispatch included."""
-    assert _smp_digest(4, queue="wheel") == _smp_digest(4, queue="heap")
 
 
 def _flat_sched(leaves: int, n_cpus: int):

@@ -5,7 +5,7 @@ import pytest
 from repro import Host, SystemMode
 from repro.apps.webclient import HttpClient, HttpRequest
 from repro.net.packet import Packet, PacketKind, ip_addr
-from repro.net.tcp import ConnState, ListenSocket
+from repro.net.tcp import ConnState, HalfOpen, ListenSocket
 from repro.syscall import api
 
 
@@ -100,6 +100,35 @@ def test_syn_queue_overflow_evicts_oldest():
     evicted_addrs = {ip_addr(1, 2, 3, 1), ip_addr(1, 2, 3, 2)}
     remaining = {h.src_addr for h in socket.syn_queue}
     assert evicted_addrs.isdisjoint(remaining)
+
+
+def test_handshake_ack_removes_its_own_halfopen_not_an_equal_one():
+    # Two embryonic connections with equal fields are still two entries:
+    # the ACK for the second must leave the first queued.
+    host, _ = make_listening_host()
+    socket = host.kernel.stack.listeners[0]
+    client = RecordingClient(host)
+    first, second = (
+        HalfOpen(
+            client=client,
+            src_addr=ip_addr(1, 2, 3, 4),
+            src_port=1234,
+            listen_socket=socket,
+            created_at=host.now,
+        )
+        for _ in range(2)
+    )
+    socket.syn_queue.extend([first, second])
+    host.kernel.net_input(
+        Packet(
+            kind=PacketKind.HANDSHAKE_ACK,
+            src_addr=ip_addr(1, 2, 3, 4),
+            payload=second,
+        )
+    )
+    host.run(until_us=4_000.0)
+    assert len(socket.syn_queue) == 1 and socket.syn_queue[0] is first
+    assert len(socket.accept_queue) == 1
 
 
 def test_handshake_ack_for_evicted_halfopen_ignored():

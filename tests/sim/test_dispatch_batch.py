@@ -1,26 +1,50 @@
-"""Differential testing of the batched dispatch loop.
+"""The batched dispatch loop against a ``pop_due`` reference loop.
 
 ``Simulation.run`` delegates the per-event loop to the queue's
-``dispatch_batch``, so the two implementations now own the hottest
-engine code.  These tests drive *whole simulations* -- not bare queues
--- through identical seeded workloads under ``queue="heap"`` and
-``queue="wheel"`` and require every observable to match: the dispatched
-``(time, tag)`` stream, the clock after every bounded run segment, and
-the dispatch tally.  Callbacks schedule, cancel, and stop mid-batch,
-which is exactly where the batch loop's aliasing is dangerous (a cancel
-inside a callback can trigger heap compaction, which rebinds the
-backing list).
+``dispatch_batch``, the hottest code in the repository.  These tests
+drive *whole simulations* -- not bare queues -- through identical seeded
+workloads, once through ``Simulation.run`` and once through a plain
+``pop_due`` loop on the same queue, and require every observable
+to match: the dispatched ``(time, tag)`` stream, the clock after every
+bounded run segment, and the dispatch tally.  Callbacks schedule,
+cancel, and stop mid-batch, which is exactly where the batch loop's
+aliasing is dangerous (a cancel inside a callback can trigger heap
+compaction, which rebinds the backing list).
 """
 
+import functools
 import random
 
 from repro.sim.engine import Simulation
 
 
-def _run_segmented(kind: str, seed: int):
-    """One seeded workload against one queue kind; returns observables."""
+def _reference_run(sim, until=None, max_events=None) -> None:
+    """``Simulation.run``'s contract spelled out on ``pop_due``."""
+    sim._stop_requested = False
+    dispatched = 0
+    bounded = False
+    while max_events is None or dispatched < max_events:
+        event, _when = sim.queue.pop_due(until)
+        if event is None:
+            bounded = True
+            break
+        sim.clock.advance_to(event.when)
+        event.callback(*event.args)
+        dispatched += 1
+        sim._events_dispatched += 1
+        if sim._stop_requested:
+            break
+    if until is not None and sim.now < until:
+        if bounded or sim.queue.peek_time() is None:
+            sim.clock.advance_to(until)
+
+
+def _run_segmented(batched: bool, seed: int):
+    """One seeded workload through one dispatch loop; returns observables."""
     rng = random.Random(seed)
-    sim = Simulation(queue=kind)
+    sim = Simulation()
+    sim.queue._compact_min_dead = 8
+    run = sim.run if batched else functools.partial(_reference_run, sim)
     log = []
     pending = []
 
@@ -33,6 +57,11 @@ def _run_segmented(kind: str, seed: int):
         if roll < 0.25 and pending:
             event, seq = pending.pop(rng.randrange(len(pending)))
             sim.cancel(event, seq)
+        if roll < 0.004:
+            # A cancellation burst: enough dead entries to compact.
+            for event, seq in pending[: len(pending) * 3 // 4]:
+                sim.cancel(event, seq)
+            del pending[: len(pending) * 3 // 4]
         if roll > 0.995:
             sim.stop()
 
@@ -44,95 +73,94 @@ def _run_segmented(kind: str, seed: int):
     # Alternate until-bounded and count-bounded segments, then drain.
     for step in range(12):
         if step % 2:
-            sim.run(max_events=rng.randrange(1, 60))
+            run(max_events=rng.randrange(1, 60))
         else:
-            sim.run(until=sim.now + rng.uniform(0.0, 1_500.0))
+            run(until=sim.now + rng.uniform(0.0, 1_500.0))
         marks.append((round(sim.now, 9), sim.events_dispatched))
-    sim.run(max_events=50_000)
+    run(max_events=50_000)
     marks.append((round(sim.now, 9), sim.events_dispatched))
-    return log, marks
+    return log, marks, sim.queue.compactions
 
 
 def test_dispatch_batch_differential_fuzz():
+    compactions = 0
     for seed in range(6):
-        heap_log, heap_marks = _run_segmented("heap", 7_0131 + seed)
-        wheel_log, wheel_marks = _run_segmented("wheel", 7_0131 + seed)
-        assert heap_log == wheel_log
-        assert heap_marks == wheel_marks
+        batch_log, batch_marks, batch_compactions = _run_segmented(True, 7_0131 + seed)
+        ref_log, ref_marks, _ = _run_segmented(False, 7_0131 + seed)
+        assert batch_log == ref_log
+        assert batch_marks == ref_marks
+        compactions += batch_compactions
+    assert compactions > 0
 
 
 def test_in_callback_cancel_survives_heap_compaction():
     # A callback cancelling many events can trigger EventQueue._compact,
     # which rebinds the backing heap list mid-batch; the loop must keep
     # dispatching from the *new* list, not a stale alias.
-    for kind in ("heap", "wheel"):
-        sim = Simulation(queue=kind)
-        sim.queue._compact_min_dead = 4
-        fired = []
-        doomed = []
+    sim = Simulation()
+    sim.queue._compact_min_dead = 4
+    fired = []
+    doomed = []
 
-        def massacre() -> None:
-            for event, seq in doomed:
-                sim.cancel(event, seq)
+    def massacre() -> None:
+        for event, seq in doomed:
+            sim.cancel(event, seq)
 
-        sim.at(1.0, massacre)
-        for i in range(50):
-            event = sim.at(10.0 + i, fired.append, i)
-            if i % 2:
-                doomed.append((event, event.seq))
-        sim.run()
-        assert fired == [i for i in range(50) if not i % 2], kind
-        assert sim.events_dispatched == 26, kind
+    sim.at(1.0, massacre)
+    for i in range(50):
+        event = sim.at(10.0 + i, fired.append, i)
+        if i % 4:
+            doomed.append((event, event.seq))
+    sim.run()
+    assert sim.queue.compactions >= 1
+    assert fired == [i for i in range(50) if not i % 4]
+    assert sim.events_dispatched == 14
 
 
 def test_max_events_exit_leaves_clock_at_last_event():
     # The old loop checked max_events before popping; a count-bounded
     # exit must leave the clock at the last dispatched event even when
     # an until-horizon lies further out.
-    for kind in ("heap", "wheel"):
-        sim = Simulation(queue=kind)
-        for i in range(5):
-            sim.at(10.0 * (i + 1), lambda: None)
-        assert sim.run(until=1_000.0, max_events=3) == 30.0, kind
-        assert sim.events_dispatched == 3, kind
-        # Resuming honours the horizon epilogue once drained.
-        assert sim.run(until=1_000.0) == 1_000.0, kind
-        assert sim.events_dispatched == 5, kind
+    sim = Simulation()
+    for i in range(5):
+        sim.at(10.0 * (i + 1), lambda: None)
+    assert sim.run(until=1_000.0, max_events=3) == 30.0
+    assert sim.events_dispatched == 3
+    # Resuming honours the horizon epilogue once drained.
+    assert sim.run(until=1_000.0) == 1_000.0
+    assert sim.events_dispatched == 5
 
 
 def test_stop_halts_after_current_event():
-    for kind in ("heap", "wheel"):
-        sim = Simulation(queue=kind)
-        order = []
+    sim = Simulation()
+    order = []
 
-        def stopper() -> None:
-            order.append("stop")
-            sim.stop()
+    def stopper() -> None:
+        order.append("stop")
+        sim.stop()
 
-        sim.at(1.0, order.append, "a")
-        sim.at(2.0, stopper)
-        sim.at(3.0, order.append, "b")
-        sim.run(until=100.0)
-        assert order == ["a", "stop"], kind
-        assert sim.now == 2.0, kind
-        sim.run(until=100.0)
-        assert order == ["a", "stop", "b"], kind
-        assert sim.now == 100.0, kind
+    sim.at(1.0, order.append, "a")
+    sim.at(2.0, stopper)
+    sim.at(3.0, order.append, "b")
+    sim.run(until=100.0)
+    assert order == ["a", "stop"]
+    assert sim.now == 2.0
+    sim.run(until=100.0)
+    assert order == ["a", "stop", "b"]
+    assert sim.now == 100.0
 
 
 def test_in_batch_insertions_dispatch_in_order():
     # A callback scheduling an event *earlier than the next pending one*
-    # must see it dispatched first -- insertions land at or after the
-    # batch cursor in both implementations.
-    for kind in ("heap", "wheel"):
-        sim = Simulation(queue=kind)
-        order = []
+    # must see it dispatched first.
+    sim = Simulation()
+    order = []
 
-        def wedge() -> None:
-            order.append("wedge")
-            sim.at(5.0, order.append, "inserted")
+    def wedge() -> None:
+        order.append("wedge")
+        sim.at(5.0, order.append, "inserted")
 
-        sim.at(1.0, wedge)
-        sim.at(10.0, order.append, "late")
-        sim.run()
-        assert order == ["wedge", "inserted", "late"], kind
+    sim.at(1.0, wedge)
+    sim.at(10.0, order.append, "late")
+    sim.run()
+    assert order == ["wedge", "inserted", "late"]

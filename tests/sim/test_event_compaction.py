@@ -1,7 +1,7 @@
 """EventQueue heap compaction under cancellation churn."""
 
 from repro.sim import events
-from repro.sim.events import COMPACT_ENV, EventQueue, TimingWheelQueue
+from repro.sim.events import EventQueue
 
 
 def _noop() -> None:
@@ -53,20 +53,9 @@ def test_dead_count_tracks_pop_side_drain():
     assert q._dead == 0
 
 
-def test_compact_floor_env_override(monkeypatch):
-    monkeypatch.setenv(COMPACT_ENV, "7")
-    assert EventQueue()._compact_min_dead == 7
-    assert TimingWheelQueue()._compact_min_dead == 7
-    # An explicit constructor argument beats the environment...
-    assert EventQueue(compact_min_dead=3)._compact_min_dead == 3
-    # ...and without either, the module default applies.
-    monkeypatch.delenv(COMPACT_ENV)
-    assert EventQueue()._compact_min_dead == events.COMPACT_MIN_DEAD
-
-
-def test_env_floor_changes_compaction_eagerness(monkeypatch):
-    monkeypatch.setenv(COMPACT_ENV, "4")
+def test_floor_changes_compaction_eagerness():
     q = EventQueue()
+    q._compact_min_dead = 4
     keep = q.schedule(0.5, _noop)
     doomed = [q.schedule(10.0 + i, _noop) for i in range(8)]
     for event in doomed:

@@ -1,20 +1,24 @@
-"""Event queue ordering, cancellation, and tie-breaking.
-
-Parameterized over both implementations (binary heap and timing wheel):
-the observable contract is identical by construction, and these tests
-are the executable statement of that contract.
-"""
+"""Event queue ordering, cancellation, and tie-breaking."""
 
 import pytest
 
-from repro.sim.events import EventQueue, TimingWheelQueue
+from repro.sim.events import EventQueue
 
 
 @pytest.fixture(params=["heap", "wheel"])
 def queue(request):
-    if request.param == "heap":
-        return EventQueue()
-    return TimingWheelQueue()
+    """The queue under test, in two configurations.
+
+    The ids keep the names these cases had when the engine carried two
+    queue implementations. ``heap`` is the queue as the engine builds it;
+    ``wheel`` drops the compaction floor to zero, so a cancel that leaves
+    more dead entries than live ones rebuilds the heap on the spot and the
+    contract is checked across that rebuild as well.
+    """
+    q = EventQueue()
+    if request.param == "wheel":
+        q._compact_min_dead = 0
+    return q
 
 
 def test_pop_in_time_order(queue):
@@ -83,6 +87,26 @@ def test_event_pending_flag(queue):
     assert event.pending
     queue.pop()
     assert not event.pending
+
+
+def test_mismatched_seq_cannot_cancel():
+    queue = EventQueue()
+    event = queue.schedule(1.0, lambda: None)
+    queue.cancel(event, event.seq + 1)
+    assert queue.stale_cancels == 1
+    assert event.pending and len(queue) == 1
+    queue.cancel(event, event.seq)
+    assert not event.pending and len(queue) == 0
+
+
+def test_cancel_after_fire_is_a_noop():
+    queue = EventQueue()
+    event = queue.schedule(1.0, lambda: None)
+    later = queue.schedule(2.0, lambda: None)
+    assert queue.pop() is event
+    queue.cancel(event, event.seq)
+    assert len(queue) == 1 and queue._dead == 0
+    assert queue.pop() is later
 
 
 def test_pop_due_empty_queue(queue):
