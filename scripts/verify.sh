@@ -24,6 +24,9 @@
 #   0h. cluster byte-determinism: a 5-host cluster run (balancer + 4
 #      backends, global principals, SYN flood) hashed over every
 #      host's trace must be identical across two same-seed runs
+#   0i. benchmark outputs: a short perfbench run of each workload must
+#      report "correct": true, i.e. the simulated outputs still match
+#      perfbench/expected.json
 #   1. tier-1 unit/integration/property tests (the hard gate)
 #   2. the perf-marker scalability smoke vs BENCH_scalability.json
 #   3. a Figure 11 regeneration through the parallel sweep engine
@@ -186,6 +189,19 @@ if digest(seed=31) != first:
 print(f"cluster determinism OK (5-host digest {first[:12]} stable "
       "across runs)")
 PYEOF
+
+echo "== tier-0i: benchmark outputs match perfbench/expected.json =="
+for workload in synflood cluster disk spinner; do
+  python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 \
+    > "$TRACE_TMP/perfbench-$workload.txt"
+  tail -n 1 "$TRACE_TMP/perfbench-$workload.txt" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result.get("correct") is True else 1)
+' || { echo "perfbench $workload FAILED: outputs drifted from expected.json"
+         tail -n 2 "$TRACE_TMP/perfbench-$workload.txt"; exit 1; }
+  echo "perfbench $workload OK (correct: true)"
+done
 
 echo "== tier-1: pytest =="
 python -m pytest -x -q

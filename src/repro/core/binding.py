@@ -62,6 +62,17 @@ class SchedulerBinding:
         if added and self.on_change is not None:
             self.on_change()
 
+    def holds_only(self, container: Optional[ResourceContainer]) -> bool:
+        """True if ``container`` is alive and the binding's sole member,
+        so ``prune(keep=container)`` would remove nothing."""
+        members = self._members
+        return (
+            len(members) == 1
+            and container is not None
+            and container.alive
+            and container.cid in members
+        )
+
     def prune(
         self,
         now: float,

@@ -260,11 +260,17 @@ class Kernel:
 
     def _prune_tick(self) -> None:
         now = self.sim.now
+        max_age_us = self.config.prune_age_us
+        done = ThreadState.DONE
         for process in self.processes.values():
-            for thread in process.live_threads():
-                thread.scheduler_binding.prune(
-                    now, self.config.prune_age_us, keep=thread.resource_binding
-                )
+            for thread in process.threads:
+                if thread.state is done:
+                    continue
+                binding = thread.scheduler_binding
+                keep = thread.resource_binding
+                if binding.holds_only(keep):
+                    continue  # prune could remove nothing here
+                binding.prune(now, max_age_us, keep=keep)
         self.sim.after(self.config.prune_interval_us, self._prune_tick)
 
     # ------------------------------------------------------------------
@@ -638,6 +644,8 @@ class Kernel:
             self._note_input_drop(packet)
             free_packet(packet)
             return
+        # The only way a net thread becomes runnable: tell the scheduler.
+        self.scheduler.on_wakeup(net_thread, self.sim.now)
         self.cpu.notify_ready(net_thread)
 
     def _note_input_drop(self, packet: Packet) -> None:

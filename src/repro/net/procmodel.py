@@ -70,8 +70,11 @@ class KernelNetThread:
 
     #: A net thread's scheduling key (charge container, priority) depends
     #: on the head packet of its queues, which changes with every arrival
-    #: and completion -- there is no cheap notification channel, so the
-    #: scheduler must re-evaluate it on every pick (no index entry).
+    #: and completion, so it gets no index entry: the scheduler evaluates
+    #: its key at pick time.  Only an enqueue makes it runnable, and the
+    #: kernel announces each one with ``Scheduler.on_wakeup``; the
+    #: scheduler keeps woken net threads in a ready set and drops them
+    #: lazily once they are idle, so idle net threads cost a pick nothing.
     sched_push_notify = False
 
     def __init__(

@@ -54,11 +54,18 @@ other shards and *steal* it -- migrating the entity's home shard --
 in deterministic richest-victim-first order.
 
 Entities without the contract (kernel net threads, whose key follows
-their head packet; test fakes that flip ``runnable`` silently) are
-*volatile*: they are re-evaluated with the original linear logic every
-pick and compared against the indexed candidate under the exact same
-key, so behaviour is bit-for-bit identical to the old full scan.  They
-are never indexed, so the dispatcher's exclude-set still guards them.
+their head packet) are *volatile*: their key is evaluated at pick time,
+never indexed, so the dispatcher's exclude-set still guards them.  They
+owe the scheduler a lighter contract instead: whoever makes one
+runnable calls :meth:`on_wakeup` (``Kernel`` does so after every
+successful net-thread enqueue).  The wakeups feed a *ready set*, a
+superset of the runnable volatiles; each pick evaluates only its
+members, with the original linear logic and under the exact same key as
+the indexed candidate, and drops the members it finds not runnable once
+the loop is done.  Since only a wakeup may make a volatile runnable,
+every pick still evaluates exactly the entities a full scan would (with
+the same side effects), and pick cost follows runnable work rather than
+attached entities.
 
 Stale index entries are never searched for.  Mutations that can move an
 *existing* entity's placement key (reparent, attribute replacement)
@@ -160,8 +167,10 @@ class ContainerScheduler(Scheduler):
         self._wtotals: Optional[tuple] = None
         #: id(entity) -> entity, for every attached entity.
         self._by_eid: dict[int, Schedulable] = {}
-        #: Entities without the push-notify contract, re-scanned per pick.
-        self._volatile: list[Schedulable] = []
+        #: id(entity) -> entity for volatile (non-push-notify) entities
+        #: that may be runnable; fed by attach and :meth:`on_wakeup`,
+        #: pruned lazily by :meth:`pick_for_cpu`.
+        self._ready: dict[int, Schedulable] = {}
         #: id(entity) -> (cpu, priority, gkey, stamp) of its live bucket
         #: entry; absent when the entity has no valid entry.  Bucket
         #: entries not matching this are stale and dropped when surfaced.
@@ -198,8 +207,8 @@ class ContainerScheduler(Scheduler):
             self._sync_epoch()  # may already index us via a rebuild
             if entity.runnable and self._pos.get(eid) is None:
                 self._index_insert(entity)
-        else:
-            self._volatile.append(entity)
+        elif entity.runnable:
+            self._ready[eid] = entity
 
     def detach(self, entity: Schedulable) -> None:
         super().detach(entity)
@@ -212,13 +221,9 @@ class ContainerScheduler(Scheduler):
         cpu = self._active.pop(eid, None)
         if cpu is not None:
             self._active_count[cpu] -= 1
+        self._ready.pop(eid, None)
         if _push_notify(entity):
             self._remove_hooks(entity)
-        else:
-            try:
-                self._volatile.remove(entity)
-            except ValueError:
-                pass
 
     def _install_hooks(self, entity: Schedulable) -> None:
         def note(entity=entity):
@@ -413,7 +418,10 @@ class ContainerScheduler(Scheduler):
 
     def on_wakeup(self, entity: Schedulable, now: float) -> None:
         eid = id(entity)
-        if eid not in self._order or not _push_notify(entity):
+        if eid not in self._order:
+            return
+        if not _push_notify(entity):
+            self._ready[eid] = entity  # its key is evaluated at pick time
             return
         self._sync_epoch()
         if (
@@ -564,12 +572,16 @@ class ContainerScheduler(Scheduler):
         best_key: Optional[tuple] = None
         best_group: Optional[ResourceContainer] = None
 
-        # Volatile entities carry no notification contract: evaluate
-        # them with the original linear logic, under the original key.
-        for entity in self._volatile:
+        # Volatile entities have no index entry: evaluate the ready set
+        # with the original linear logic, under the original key.
+        idle: Optional[list[int]] = None
+        for eid, entity in self._ready.items():
             if not entity.runnable:
+                if idle is None:
+                    idle = []
+                idle.append(eid)
                 continue
-            if exclude is not None and id(entity) in exclude:
+            if exclude is not None and eid in exclude:
                 continue
             container = entity.charge_container()
             if container is None:
@@ -582,7 +594,6 @@ class ContainerScheduler(Scheduler):
                 group = self._hcache.top_level(container)
                 group_pass = _node_state(group).pass_value
                 priority = self._combined_priority(entity, container)
-            eid = id(entity)
             key = (
                 -priority,
                 group_pass,
@@ -593,6 +604,9 @@ class ContainerScheduler(Scheduler):
                 best_key = key
                 best = entity
                 best_group = group
+        if idle is not None:
+            for eid in idle:
+                del self._ready[eid]
 
         best_bkey: Optional[tuple] = None
         best_shard: Optional[_ReadyShard] = None

@@ -144,6 +144,7 @@ def test_round_robin_within_group_ignores_history(setup):
     newcomer.runnable = False
     simulate(sched, [hog, newcomer], manager, 200)
     newcomer.runnable = True
+    sched.on_wakeup(newcomer, 0.0)  # volatile entities announce wakeups
     first = sched.pick(0.0)
     assert first is newcomer  # least-recently-ran wins immediately
 
@@ -160,6 +161,7 @@ def test_group_vtime_clamp_prevents_monopoly(setup):
     s.runnable = False
     simulate(sched, [a, s], manager, 500)
     s.runnable = True
+    sched.on_wakeup(s, 0.0)
     usage = simulate(sched, [a, s], manager, 100)
     # Roughly alternating after wake-up, not 100 slices to the sleeper.
     assert usage["a"] >= 40 * 1000.0
