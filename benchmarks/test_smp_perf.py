@@ -1,13 +1,9 @@
 """Tier-2 perf smoke for the SMP fast path.
 
-The per-CPU run-queue rework must keep the 8-core / 1000-container pick
-loop at least 2x faster than the pre-rework scheduler, which funnelled
-every core through one global ready index and an exclude set of
-running entities.  That baseline is frozen in
-``bench_scalability.SMP_BEFORE_BASELINE`` (recorded on this container
-right before the rework landed); the acceptance run recorded a ~10x
-speedup, so a 2x floor leaves ample headroom for machine noise while
-still catching a return to exclude-set scans.
+Drives the per-CPU protocol over a flat field of per-request principals
+with churn (``benchmarks/pickloop.py``).  Each check compares points
+measured back to back in one process, so machine speed cancels out of
+the ratio and no recorded baseline is needed.
 
 Run with ``pytest -m perf benchmarks/``.
 """
@@ -16,32 +12,32 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import bench_scalability
+from benchmarks.pickloop import build_flat, us_per_pick
 
-#: Required speedup of the fresh measurement over the frozen pre-rework
-#: baseline (acceptance criterion is >=5x on the recording; the live
-#: smoke test asks for 2x to absorb slow CI machines).
-REQUIRED_SPEEDUP = 2.0
+#: Allowed growth in us/pick from 10 to 1000 containers at 8 cores.
+#: Per-CPU shards read 3-4x; the pre-rework scheduler, which had every
+#: core filter one global index through an exclude set, paid 14.4x
+#: (15.19 -> 218.5 us/pick).
+MAX_GROWTH = 8.0
+
+
+def _us_per_pick(leaves: int, n_cpus: int) -> float:
+    manager, sched = build_flat(leaves, n_cpus)
+    return us_per_pick(sched, manager=manager)
 
 
 @pytest.mark.perf
-def test_smp_pick_8x1000_at_least_2x_over_pre_rework(repro_report):
-    before = next(
-        point["us_per_pick"]
-        for point in bench_scalability.SMP_BEFORE_BASELINE["smp_microbench"]
-        if point["containers"] == 1000 and point["n_cpus"] == 8
-    )
-    fresh = bench_scalability.smp_microbench_point(1000, 8, picks=2000)
-    speedup = before / fresh["us_per_pick"]
+def test_smp_pick_cost_scales_sublinearly_at_8_cpus(repro_report):
+    small = _us_per_pick(10, 8)
+    large = _us_per_pick(1000, 8)
+    growth = large / small
     repro_report(
-        "perf smoke: SMP pick 1000x8 "
-        f"{fresh['us_per_pick']:.3f}us vs pre-rework {before:.3f}us "
-        f"({speedup:.1f}x)"
+        f"perf smoke: SMP pick at 8 cores {small:.3f}us at 10 containers, "
+        f"{large:.3f}us at 1000 ({growth:.1f}x)"
     )
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"SMP pick path at 8 cores / 1000 containers lost its speedup: "
-        f"{fresh['us_per_pick']:.1f}us/pick vs pre-rework "
-        f"{before:.1f}us/pick ({speedup:.2f}x < {REQUIRED_SPEEDUP}x)"
+    assert growth < MAX_GROWTH, (
+        f"SMP pick cost grew {growth:.1f}x from 10 to 1000 containers at "
+        "8 cores -- cores are scanning each other's work again"
     )
 
 
@@ -50,6 +46,6 @@ def test_smp_pick_beats_single_core_pick_rate_per_core():
     """Sharding must not serialize: driving 4 cores round-robin costs
     less per pick than 4x the single-core cost (no global-lock-style
     rescan of all cores' work on every pick)."""
-    single = bench_scalability.smp_microbench_point(1000, 1, picks=1200)
-    quad = bench_scalability.smp_microbench_point(1000, 4, picks=1200)
-    assert quad["us_per_pick"] <= single["us_per_pick"] * 4.0
+    single = _us_per_pick(1000, 1)
+    quad = _us_per_pick(1000, 4)
+    assert quad <= single * 4.0

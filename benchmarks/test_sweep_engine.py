@@ -2,9 +2,8 @@
 
 Run with ``pytest -m perf benchmarks/``.  A real Figure 11 point is
 computed cold into a scratch cache and then re-fetched warm; the warm
-fetch must cost a small fraction of the cold compute.  The 10% bound is
-the acceptance threshold recorded in ``BENCH_sweep.json``; in practice
-a warm fetch is a single pickle load and lands around 0.01%.
+fetch must cost under 10% of the cold compute; in practice a warm
+fetch is a single pickle load and lands around 0.01%.
 """
 
 from __future__ import annotations

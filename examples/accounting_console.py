@@ -9,7 +9,8 @@ service tiers -- one CPU-sandboxed and bandwidth-shaped -- then prints:
 
 * the per-customer invoice (CPU, network CPU, packets, connections);
 * a capacity-planning footer (billed vs. unaccounted machine time);
-* a CPU timeline of where the machine actually went.
+* a CPU profile of where the machine actually went, by container,
+  subsystem and phase.
 
 Run:  python examples/accounting_console.py
 """
@@ -20,8 +21,8 @@ from repro import Host, SystemMode, fixed_share_attrs, ip_addr
 from repro.apps.httpserver import EventDrivenServer
 from repro.apps.webclient import HttpClient
 from repro.metrics.billing import BillingReport, Tariff
-from repro.metrics.timeline import TimelineRecorder
 from repro.net.qos import NetworkQos
+from repro.obs.profile import SimProfiler
 
 CUSTOMERS = [
     # (name, CPU share, egress cap B/s, #clients, port)
@@ -34,7 +35,7 @@ def main() -> None:
     host = Host(mode=SystemMode.RC, seed=99)
     host.kernel.fs.add_file("/page.html", 8 * 1024)
     host.kernel.fs.warm("/page.html")
-    timeline = TimelineRecorder(host.sim, bucket_us=500_000.0)
+    profiler = SimProfiler(host.sim.trace, keep_slices=False)
 
     for index, (name, share, egress, n_clients, port) in enumerate(CUSTOMERS):
         attrs = fixed_share_attrs(share)
@@ -75,7 +76,7 @@ def main() -> None:
     )
     print(report.render())
     print()
-    print(timeline.render(n=8))
+    print(profiler.render(limit=8))
     print()
     shaper = host.kernel.stack.shaper
     print(

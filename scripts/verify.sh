@@ -28,7 +28,10 @@
 #      report "correct": true, i.e. the simulated outputs still match
 #      perfbench/expected.json
 #   1. tier-1 unit/integration/property tests (the hard gate)
-#   2. the perf-marker scalability smoke vs BENCH_scalability.json
+#   2. the perf-marker smokes: self-normalising in-process ratios (pick
+#      cost growth from 10 to 1000 containers at 1 and 8 cores, warm vs
+#      cold sweep cache) plus the analyzer-speed and observability-
+#      overhead pins
 #   3. a Figure 11 regeneration through the parallel sweep engine
 #      (--jobs 2); re-runs hit the content-addressed .sweepcache/
 set -euo pipefail

@@ -7,8 +7,6 @@ Usage::
     python -m repro fig12 --full         # slower, larger windows
     python -m repro all --jobs 4         # everything, 4 worker processes
     python -m repro fig11 --no-cache     # recompute even cached points
-    python -m repro bench                # scheduler scalability sweep
-    python -m repro bench-sweep          # sweep-engine speedup benchmark
     python -m repro lint                 # determinism lint of src/repro
     python -m repro lint --rules         # the lint rule catalogue
     python -m repro analyze              # whole-program invariant analyzer
@@ -393,16 +391,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=[
-            *EXPERIMENTS, "all", "list", "bench", "bench-sweep",
-            "bench-obs", "bench-cluster",
+            *EXPERIMENTS, "all", "list", "bench-obs",
             "lint", "analyze", "check", "sanitize", "trace", "report",
             "monitor",
         ],
-        help="which experiment to run ('bench' runs the scheduler "
-        "scalability sweep and writes BENCH_scalability.json; "
-        "'bench-sweep' benchmarks the parallel sweep engine and writes "
-        "BENCH_sweep.json; 'lint' runs the determinism lint over the "
-        "repro source tree; 'analyze' runs the whole-program "
+        help="which experiment to run ('lint' runs the determinism "
+        "lint over the repro source tree; 'analyze' runs the whole-program "
         "charging/shard-protocol/units analyzer; 'check' runs lint + "
         "analyze off one shared parse; 'sanitize <experiment>' re-runs an "
         "experiment with the charging-conservation sanitizer enabled; "
@@ -483,10 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "list":
         for key, (description, _fn) in EXPERIMENTS.items():
             print(f"{key:10s} {description}")
-        print(f"{'bench':10s} Scheduler scalability sweep (10/100/1000)")
-        print(f"{'bench-sweep':10s} Parallel sweep engine / cache benchmark")
         print(f"{'bench-obs':10s} Observability overhead (off/observe/windows)")
-        print(f"{'bench-cluster':10s} Multi-host cluster simulation (2/8/32)")
         return 0
 
     if args.experiment == "lint":
@@ -535,48 +526,6 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(result, indent=2))
         else:
             print(bench_obs.render(result))
-        print(f"[wrote {path}]", file=sys.stderr)
-        return 0
-
-    if args.experiment == "bench":
-        from repro.experiments import bench_scalability
-
-        result = bench_scalability.run(fast=not args.full)
-        path = bench_scalability.write_json(result)
-        if args.json:
-            import json
-
-            print(json.dumps(result, indent=2))
-        else:
-            print(bench_scalability.render(result))
-        print(f"[wrote {path}]", file=sys.stderr)
-        return 0
-
-    if args.experiment == "bench-cluster":
-        from repro.experiments import bench_cluster
-
-        result = bench_cluster.run()
-        path = bench_cluster.write_json(result)
-        if args.json:
-            import json
-
-            print(json.dumps(result, indent=2))
-        else:
-            print(bench_cluster.render(result))
-        print(f"[wrote {path}]", file=sys.stderr)
-        return 0
-
-    if args.experiment == "bench-sweep":
-        from repro.experiments import bench_sweep
-
-        result = bench_sweep.run(fast=not args.full, jobs=args.jobs or None)
-        path = bench_sweep.write_json(result)
-        if args.json:
-            import json
-
-            print(json.dumps(result, indent=2))
-        else:
-            print(bench_sweep.render(result))
         print(f"[wrote {path}]", file=sys.stderr)
         return 0
 

@@ -79,22 +79,9 @@ FILE_ALLOWLIST: dict[str, dict[str, str]] = {
         "Python implementation; its numbers are machine-bound by design "
         "and are never cached",
     },
-    "experiments/bench_scalability.py": {
-        "DET101": "bench harness: measures host wall time of scheduler "
-        "operations; results go to BENCH_scalability.json, not the cache",
-    },
-    "experiments/bench_sweep.py": {
-        "DET101": "bench harness: measures cold/warm sweep wall time; "
-        "results go to BENCH_sweep.json, not the cache",
-    },
     "experiments/bench_obs.py": {
         "DET101": "bench harness: measures host wall time of the "
         "telemetry pipeline; results go to BENCH_obs.json, not the cache",
-    },
-    "experiments/bench_cluster.py": {
-        "DET101": "bench harness: measures host wall time of the "
-        "multi-kernel cluster runs; results go to BENCH_cluster.json, "
-        "not the cache",
     },
     "kernel/events.py": {
         "DET106": "ProcessEventQueue is an IOEvent priority queue (not "

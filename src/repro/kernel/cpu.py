@@ -135,7 +135,7 @@ class CPU:
         self.soft_queue: deque[InterruptJob] = deque()
         self.soft_queue_limit = DEFAULT_SOFTIRQ_QUEUE_LIMIT
         self.soft_drops = 0
-        #: Entities currently occupying a core (excluded from pick()).
+        #: Entities currently occupying a core (the pick exclude set).
         self._running_ids: set[int] = set()
         self._dispatch_scheduled = False
         #: Coalesced, not-yet-booked container charges:

@@ -10,7 +10,6 @@ from repro.metrics.stats import (
     mean,
     percentile,
 )
-from repro.metrics.timeline import TimelineRecorder
 
 __all__ = [
     "BillingReport",
@@ -18,7 +17,6 @@ __all__ = [
     "Series",
     "Tariff",
     "ThroughputMeter",
-    "TimelineRecorder",
     "UsageSampler",
     "mean",
     "percentile",

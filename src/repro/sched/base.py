@@ -48,9 +48,10 @@ class Schedulable(Protocol):
 class Scheduler(abc.ABC):
     """Abstract CPU scheduling policy.
 
-    Concrete schedulers are passive: the kernel calls :meth:`pick` when
-    the CPU needs work, :meth:`charge` after every slice, and
-    :meth:`window_roll` on its accounting-window timer.
+    Concrete schedulers are passive: the kernel calls
+    :meth:`pick_for_cpu` when a core needs work, :meth:`charge` and
+    :meth:`on_slice_end` after every slice, and :meth:`window_roll` on
+    its accounting-window timer.
     """
 
     #: Default time slice handed to a picked entity, microseconds.
@@ -125,36 +126,25 @@ class Scheduler(abc.ABC):
         """Entity transitioned blocked -> runnable."""
 
     @abc.abstractmethod
-    def pick(
-        self, now: float, exclude: Optional[set] = None
-    ) -> Optional[Schedulable]:
-        """Choose the next entity to run, or None if nothing is eligible.
-
-        ``exclude`` is a set of id()s of entities already running on
-        other cores (SMP); they must not be selected again.
-        """
-
     def pick_for_cpu(
         self, now: float, cpu: int, exclude: Optional[set] = None
     ) -> Optional[Schedulable]:
-        """Choose the next entity for one core.
+        """Choose the next entity for core ``cpu``, or None if nothing
+        is eligible.
 
-        Schedulers with per-CPU run queues (``ContainerScheduler``)
-        override this with true dequeue-on-dispatch: the winner leaves
-        the ready structures until :meth:`on_slice_end` re-queues it.
-        The default delegates to :meth:`pick` with the exclude-set
-        protocol, which keeps single-queue policies (timeshare,
-        lottery) correct on SMP without changes: entities running on
-        other cores are filtered by ``exclude``.
+        ``exclude`` is a set of id()s of entities already running on
+        other cores; they must not be selected again.  Schedulers with
+        per-CPU run queues (``ContainerScheduler``) dequeue the winner
+        until :meth:`on_slice_end` re-queues it; single-queue policies
+        (timeshare, lottery) ignore ``cpu`` and rely on ``exclude``.
         """
-        return self.pick(now, exclude)
 
     def on_slice_end(self, entity: Schedulable, now: float) -> None:
         """The entity's slice finished or was preempted on its core.
 
         Dequeue-on-dispatch schedulers re-queue the entity here (it was
         removed from the ready structures by :meth:`pick_for_cpu`).
-        The default is a no-op: exclude-set schedulers never removed
+        The default is a no-op: single-queue schedulers never removed
         it.  The dispatcher calls this after :meth:`charge`, before the
         entity advances its work state.
         """

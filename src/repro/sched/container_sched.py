@@ -537,32 +537,6 @@ class ContainerScheduler(Scheduler):
     # Selection
     # ------------------------------------------------------------------
 
-    def pick(  # analysis: allow[SMP302]
-        self, now: float, exclude: Optional[set] = None
-    ) -> Optional[Schedulable]:
-        """Single-queue compatibility pick (pre-SMP protocol).
-
-        Selects for core 0 and immediately re-queues the winner, which
-        is exactly the old immediate-reinsert semantics relied on by
-        unit tests and the legacy bench path.  The dispatcher uses
-        :meth:`pick_for_cpu` / :meth:`on_slice_end` instead.  The
-        immediate ``_index_insert`` below *is* the hand-back, so the
-        pick/on_slice_end pairing rule is waived here by design.
-        """
-        entity = self.pick_for_cpu(now, 0, exclude)
-        if entity is not None:
-            eid = id(entity)
-            cpu = self._active.pop(eid, None)
-            if cpu is not None:
-                self._active_count[cpu] -= 1
-            if (
-                _push_notify(entity)
-                and entity.runnable
-                and self._pos.get(eid) is None
-            ):
-                self._index_insert(entity)
-        return entity
-
     def pick_for_cpu(
         self, now: float, cpu: int, exclude: Optional[set] = None
     ) -> Optional[Schedulable]:
@@ -681,8 +655,8 @@ class ContainerScheduler(Scheduler):
         Called by the dispatcher after the slice's charge and before the
         entity advances its work state (and after zero-work actions).
         The round-robin stamp was already assigned at pick time, so the
-        entity re-enters its bucket exactly where the immediate-reinsert
-        protocol would have put it.
+        entity re-enters its bucket ordered by when it was picked, not
+        by when its slice ended.
         """
         eid = id(entity)
         cpu = self._active.pop(eid, None)
@@ -857,8 +831,8 @@ class ContainerScheduler(Scheduler):
         """The bucket's best *eligible* entry, validating lazily.
 
         Stale entries (superseded, detached, no longer runnable) are
-        dropped; eligible-but-barred ones (capped out, or excluded by
-        the legacy protocol) are set aside for :meth:`_requeue_deferred`.
+        dropped; eligible-but-barred ones (capped out, or in the
+        caller's ``exclude`` set) are set aside for :meth:`_requeue_deferred`.
         """
         bucket = shard.buckets.get(bkey)
         if bucket is None:

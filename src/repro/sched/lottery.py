@@ -53,8 +53,8 @@ class LotteryScheduler(Scheduler):
             container.sched_state = state
         state.tickets = tickets
 
-    def pick(
-        self, now: float, exclude: Optional[set] = None
+    def pick_for_cpu(
+        self, now: float, cpu: int, exclude: Optional[set] = None
     ) -> Optional[Schedulable]:
         runnable = [
             e

@@ -64,8 +64,8 @@ class UnixTimeshareScheduler(Scheduler):
             self._usage_stamp[key] = now
         return usage
 
-    def pick(
-        self, now: float, exclude: Optional[set] = None
+    def pick_for_cpu(
+        self, now: float, cpu: int, exclude: Optional[set] = None
     ) -> Optional[Schedulable]:
         best: Optional[Schedulable] = None
         best_key: Optional[tuple] = None

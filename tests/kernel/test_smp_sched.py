@@ -1,4 +1,4 @@
-"""Per-CPU run-queue scheduler: determinism, equivalence, stealing.
+"""Per-CPU run-queue scheduler: determinism, dequeue-on-dispatch, stealing.
 
 The SMP rework gave :class:`ContainerScheduler` one ready shard per
 core, dequeue-on-dispatch, and a container-aware balancer with work
@@ -6,9 +6,6 @@ stealing.  These tests pin the properties that rework must not lose:
 
 * seeded SMP runs are byte-deterministic (same digest twice) at 2 and
   4 cores;
-* the legacy single-queue ``pick()`` protocol and the per-CPU
-  ``pick_for_cpu``/``on_slice_end`` protocol produce the *same
-  schedule* on one CPU (the pre-SMP behaviour is a special case);
 * dequeue-on-dispatch means an entity can never be handed to two cores
   at once, including across a steal;
 * stealing actually happens under a real multi-threaded server load,
@@ -27,10 +24,10 @@ from repro.apps.httpserver import MultiThreadedServer
 from repro.apps.webclient import HttpClient
 from repro.core.attributes import timeshare_attrs
 from repro.core.operations import ContainerManager
-from repro.experiments.bench_scalability import BenchEntity
 from repro.kernel.kernel import KernelConfig
 from repro.sched.container_sched import ContainerScheduler
 from repro.syscall import api
+from tests.sched.test_cache_invalidation import NotifyEntity
 from tests.sched.test_trace_digest import _fresh_id_counters
 
 
@@ -82,36 +79,10 @@ def _flat_sched(leaves: int, n_cpus: int):
     entities = []
     for i in range(leaves):
         leaf = manager.create(f"p{i}", attrs=timeshare_attrs(weight=1.0))
-        entities.append(BenchEntity(f"e{i}", leaf))
+        entities.append(NotifyEntity(f"e{i}", leaf))
     for entity in entities:
         sched.attach(entity)
     return manager, sched, entities
-
-
-def test_legacy_pick_matches_per_cpu_protocol_on_one_cpu():
-    """On one CPU the new dequeue/requeue protocol must yield exactly
-    the schedule the old immediate-reinsert ``pick()`` yielded."""
-    _m1, legacy, _e1 = _flat_sched(7, n_cpus=1)
-    _m2, percpu, _e2 = _flat_sched(7, n_cpus=1)
-    legacy_seq = []
-    percpu_seq = []
-    now = 0.0
-    prev = None
-    for _ in range(50):
-        entity = legacy.pick(now)
-        legacy_seq.append(entity.name)
-        container = entity.charge_container()
-        container.charge_cpu(1_000.0)
-        legacy.charge(entity, container, 1_000.0, now)
-        if prev is not None:
-            container = prev.charge_container()
-            container.charge_cpu(1_000.0)
-            percpu.charge(prev, container, 1_000.0, now)
-            percpu.on_slice_end(prev, now)
-        prev = percpu.pick_for_cpu(now, 0)
-        percpu_seq.append(prev.name)
-        now += 1_000.0
-    assert legacy_seq == percpu_seq
 
 
 def test_dequeued_entity_is_never_offered_twice():
@@ -187,11 +158,10 @@ def test_sanitizer_per_core_conservation_at_4_cpus():
 
 
 def test_alternate_policies_dispatch_on_smp_via_delegation():
-    """Schedulers without a native per-CPU protocol (lottery, unix
-    timeshare) fall back to the base-class delegation: ``pick_for_cpu``
-    routes to ``pick(now, exclude)`` with the dispatcher's running set,
-    so they keep working on a multi-core host with the old exclude-set
-    semantics -- no double dispatch, both cores productive."""
+    """Single-queue policies (lottery, unix timeshare) ignore the core
+    in ``pick_for_cpu`` and filter the dispatcher's running set through
+    ``exclude``, so they keep working on a multi-core host -- no double
+    dispatch, both cores productive."""
     from repro.sched.lottery import LotteryScheduler
 
     config = KernelConfig(mode=SystemMode.RC, n_cpus=2)

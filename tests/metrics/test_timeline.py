@@ -1,101 +1,10 @@
-"""Timeline recording from cpu.slice traces."""
-
-import pytest
+"""The per-container CPU timeline (the observability profiler's fold of
+the ``cpu.slice`` stream) against the resource-container ledgers."""
 
 from repro import Host, SystemMode, ip_addr
 from repro.apps.httpserver import EventDrivenServer
 from repro.apps.webclient import HttpClient
-from repro.metrics.timeline import TimelineRecorder
-from repro.syscall import api
-
-
-def test_bucket_size_validated():
-    host = Host(mode=SystemMode.RC, seed=93)
-    with pytest.raises(ValueError):
-        TimelineRecorder(host.sim, bucket_us=0)
-
-
-def test_records_compute_slices():
-    host = Host(mode=SystemMode.RC, seed=93)
-    recorder = TimelineRecorder(host.sim)
-
-    def burn():
-        yield api.Compute(5_000.0)
-
-    host.kernel.spawn_process("burner", burn)
-    host.run(until_us=50_000.0)
-    assert recorder.share_of("proc:burner") > 0.9
-    activity = recorder.by_principal["proc:burner"]
-    assert activity.total_us == pytest.approx(5_000.0, abs=50.0)
-    assert activity.slices >= 5  # sliced by the 1 ms quantum
-
-
-def test_totals_match_cpu_accounting():
-    host = Host(mode=SystemMode.RC, seed=93)
-    host.kernel.fs.add_file("/index.html", 1024)
-    host.kernel.fs.warm("/index.html")
-    recorder = TimelineRecorder(host.sim)
-    EventDrivenServer(host.kernel, use_containers=True).install()
-    HttpClient(host.kernel, ip_addr(10, 0, 0, 1), "c").start(at_us=2_000.0)
-    host.run(seconds=0.2)
-    assert recorder.total_us == pytest.approx(
-        host.kernel.cpu.accounting.total_cpu_us, rel=1e-9
-    )
-    assert recorder.interrupt_us > 0
-
-
-def test_bucket_series_covers_run():
-    host = Host(mode=SystemMode.RC, seed=93)
-    recorder = TimelineRecorder(host.sim, bucket_us=10_000.0)
-
-    def burn():
-        for _ in range(10):
-            yield api.Compute(5_000.0)
-            yield api.Sleep(5_000.0)
-
-    host.kernel.spawn_process("burner", burn)
-    host.run(until_us=120_000.0)
-    series = recorder.bucket_series("proc:burner")
-    assert len(series) >= 5
-    assert sum(v for _, v in series) == pytest.approx(50_000.0, abs=200.0)
-
-
-def test_render_lists_top_principals():
-    host = Host(mode=SystemMode.RC, seed=93)
-    recorder = TimelineRecorder(host.sim)
-
-    def burn():
-        yield api.Compute(1_000.0)
-
-    host.kernel.spawn_process("one", burn)
-    host.kernel.spawn_process("two", burn)
-    host.run(until_us=50_000.0)
-    rendered = recorder.render()
-    assert "proc:one" in rendered
-    assert "proc:two" in rendered
-    assert "interrupt context" in rendered
-
-
-def test_no_tracing_cost_when_unattached():
-    """Without a recorder the trace bus stays inactive (cheap path)."""
-    host = Host(mode=SystemMode.RC, seed=93)
-    assert not host.sim.trace.active
-    recorder = TimelineRecorder(host.sim)
-    assert host.sim.trace.active
-    del recorder
-
-def test_unknown_principal_queries_are_benign():
-    host = Host(mode=SystemMode.RC, seed=93)
-    recorder = TimelineRecorder(host.sim, bucket_us=10_000.0)
-
-    def burn():
-        yield api.Compute(3_000.0)
-
-    host.kernel.spawn_process("burner", burn)
-    host.run(until_us=30_000.0)
-    assert recorder.share_of("no-such-principal") == 0.0
-    series = recorder.bucket_series("no-such-principal")
-    assert series and all(v == 0.0 for _, v in series)
+from repro.obs import UNACCOUNTED
 
 
 def test_timeline_reconciles_with_container_ledgers():
@@ -103,13 +12,13 @@ def test_timeline_reconciles_with_container_ledgers():
     container's *own* (non-subtree) CPU ledger, bit for bit: both fold
     the same ``cpu.slice`` stream, so any divergence means a charge was
     observed that was never booked (or vice versa)."""
-    host = Host(mode=SystemMode.RC, seed=93)
+    host = Host(mode=SystemMode.RC, seed=93, observe=True)
     host.kernel.fs.add_file("/index.html", 1024)
     host.kernel.fs.warm("/index.html")
-    recorder = TimelineRecorder(host.sim)
     EventDrivenServer(host.kernel, use_containers=True).install()
     HttpClient(host.kernel, ip_addr(10, 0, 0, 1), "c").start(at_us=2_000.0)
     host.run(seconds=0.2)
+    profiler = host.observability.profiler
 
     def walk(container):
         yield container
@@ -117,14 +26,23 @@ def test_timeline_reconciles_with_container_ledgers():
             yield from walk(child)
 
     by_name = {c.name: c for c in walk(host.kernel.containers.root)}
-    charged = [a for n, a in recorder.by_principal.items()
-               if n != "<unaccounted>"]
+    # Fold the kept slices in publish order -- the order the ledgers
+    # were charged in -- so the sums are comparable bit for bit.
+    totals: dict[str, float] = {}
+    network: dict[str, float] = {}
+    for piece in profiler.slices:
+        if piece.subsystem == "disk":
+            continue
+        name = piece.container
+        totals[name] = totals.get(name, 0.0) + piece.duration_us
+        if piece.subsystem != "app":
+            network[name] = network.get(name, 0.0) + piece.duration_us
+    charged = {n: v for n, v in totals.items() if n != UNACCOUNTED}
     assert charged, "expected charged principals in a container run"
-    for activity in charged:
-        container = by_name[activity.name]
-        assert activity.total_us == container.usage.cpu_us
-        assert activity.network_us == container.usage.cpu_network_us
-    unaccounted = recorder.by_principal["<unaccounted>"]
-    assert unaccounted.total_us == (
+    for name, total_us in charged.items():
+        container = by_name[name]
+        assert total_us == container.usage.cpu_us
+        assert network.get(name, 0.0) == container.usage.cpu_network_us
+    assert totals[UNACCOUNTED] == (
         host.kernel.cpu.accounting.unaccounted_cpu_us
     )

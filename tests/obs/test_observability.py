@@ -73,6 +73,17 @@ def test_profiler_reconciles_with_container_ledgers():
     for name, amount in charged.items():
         assert amount == pytest.approx(by_name[name].usage.cpu_us,
                                        rel=1e-12, abs=1e-9)
+    # Network-flagged CPU (net-thread protocol work and interrupts,
+    # i.e. everything not "app") is the network split of the ledger.
+    network: dict[str, float] = {}
+    for (name, subsystem, _phase), amount in sorted(profiler.totals.items()):
+        if name != UNACCOUNTED and subsystem != "app":
+            network[name] = network.get(name, 0.0) + amount
+    assert any(network.values())
+    for name in charged:
+        assert network.get(name, 0.0) == pytest.approx(
+            by_name[name].usage.cpu_network_us, rel=1e-12, abs=1e-9
+        )
     accounting = host.kernel.cpu.accounting
     assert totals.get(UNACCOUNTED, 0.0) == pytest.approx(
         accounting.unaccounted_cpu_us, rel=1e-12, abs=1e-9

@@ -4,8 +4,10 @@ The indexed scheduler memoizes top-level groups, group weights, and
 limit chains, and keeps push-notify entities in ready queues keyed by
 (priority, group).  Every mutation channel -- reparenting, attribute
 replacement through the manager, rebinding, binding-set changes -- must
-be reflected in the very next ``pick()``/``group_weight()`` call, with
-no stale cache residue.
+be reflected in the very next ``pick_for_cpu()``/``group_weight()``
+call, with no stale cache residue.  ``pick_for_cpu`` dequeues a
+push-notify winner, so each single-pick check hands it back with
+``on_slice_end`` before the next one.
 """
 
 import pytest
@@ -56,7 +58,7 @@ def drain(sched, steps, quantum=1000.0, start=0.0):
     counts: dict[str, int] = {}
     now = start
     for _ in range(steps):
-        entity = sched.pick(now)
+        entity = sched.pick_for_cpu(now, 0)
         if entity is None:
             now += quantum
             continue
@@ -64,6 +66,7 @@ def drain(sched, steps, quantum=1000.0, start=0.0):
         if container is not None:
             container.charge_cpu(quantum)
         sched.charge(entity, container, quantum, now)
+        sched.on_slice_end(entity, now)
         counts[entity.name] = counts.get(entity.name, 0) + 1
         now += quantum
     return counts
@@ -77,11 +80,12 @@ def test_priority_change_reflected_in_next_pick(setup):
     b = NotifyEntity("b", low)
     sched.attach(a)
     sched.attach(b)
-    assert sched.pick(0.0) is a
+    assert sched.pick_for_cpu(0.0, 0) is a
+    sched.on_slice_end(a, 0.0)
     # Invert the priorities mid-run through the manager.
     manager.set_attributes(high, timeshare_attrs(priority=1))
     manager.set_attributes(low, timeshare_attrs(priority=9))
-    assert sched.pick(0.0) is b
+    assert sched.pick_for_cpu(0.0, 0) is b
 
 
 def test_share_change_shifts_allocation_mid_run(setup):
@@ -108,14 +112,15 @@ def test_cpu_limit_added_mid_run_takes_effect(setup):
     sched.attach(entity)
     c.charge_cpu(3_000.0)
     assert not sched.capped_out(c)
-    assert sched.pick(0.0) is entity
+    assert sched.pick_for_cpu(0.0, 0) is entity
+    sched.on_slice_end(entity, 0.0)
     # Impose a 30% window cap; the 30% already burned exhausts it.
     manager.set_attributes(c, fixed_share_attrs(0.5, cpu_limit=0.3))
     assert sched.capped_out(c)
-    assert sched.pick(0.0) is None
+    assert sched.pick_for_cpu(0.0, 0) is None
     # Lifting the cap restores the entity without a window roll.
     manager.set_attributes(c, fixed_share_attrs(0.5))
-    assert sched.pick(0.0) is entity
+    assert sched.pick_for_cpu(0.0, 0) is entity
 
 
 def test_reparent_moves_entity_to_new_top_level_group(setup):
@@ -144,11 +149,12 @@ def test_reparent_under_capped_parent_throttles(setup):
     entity = NotifyEntity("e", leaf)
     sched.attach(entity)
     capped.charge_cpu(3_000.0)  # cap budget already spent
-    assert sched.pick(0.0) is entity  # not under the cap yet
+    assert sched.pick_for_cpu(0.0, 0) is entity  # not under the cap yet
+    sched.on_slice_end(entity, 0.0)
     manager.set_parent(leaf, capped)
     # The cached limit chain must be rebuilt: leaf now inherits the cap.
     assert sched.capped_out(leaf)
-    assert sched.pick(0.0) is None
+    assert sched.pick_for_cpu(0.0, 0) is None
 
 
 def test_rebind_changes_layer_immediately(setup):
@@ -160,9 +166,10 @@ def test_rebind_changes_layer_immediately(setup):
     steady = NotifyEntity("s", mid)
     sched.attach(mover)
     sched.attach(steady)
-    assert sched.pick(0.0) is steady
+    assert sched.pick_for_cpu(0.0, 0) is steady
+    sched.on_slice_end(steady, 0.0)
     mover.container = high  # fires sched_note_change
-    assert sched.pick(0.0) is mover
+    assert sched.pick_for_cpu(0.0, 0) is mover
 
 
 def test_group_weight_re_resolves_after_share_change(setup):

@@ -37,7 +37,7 @@ def simulate(sched, entities, manager, steps, quantum=1000.0):
     usage = {e.name: 0.0 for e in entities}
     now = 0.0
     for step in range(steps):
-        entity = sched.pick(now)
+        entity = sched.pick_for_cpu(now, 0)
         if entity is None:
             now += quantum
             continue
@@ -45,6 +45,7 @@ def simulate(sched, entities, manager, steps, quantum=1000.0):
         if container is not None:
             container.charge_cpu(quantum)
         sched.charge(entity, container, quantum, now)
+        sched.on_slice_end(entity, now)
         usage[entity.name] += quantum
         now += quantum
         if now % sched.window_us < quantum:
@@ -98,9 +99,9 @@ def test_priority_zero_runs_only_when_idle(setup):
     busy = FakeEntity("busy", normal)
     sched.attach(zero)
     sched.attach(busy)
-    assert sched.pick(0.0) is busy
+    assert sched.pick_for_cpu(0.0, 0) is busy
     busy.runnable = False
-    assert sched.pick(0.0) is zero
+    assert sched.pick_for_cpu(0.0, 0) is zero
 
 
 def test_cpu_limit_throttles_within_window(setup):
@@ -115,9 +116,9 @@ def test_cpu_limit_throttles_within_window(setup):
     leaf.charge_cpu(3_000.0)
     assert sched.capped_out(leaf)
     assert sched.is_throttled(entity, 0.0)
-    assert sched.pick(0.0) is None
+    assert sched.pick_for_cpu(0.0, 0) is None
     sched.window_roll(10_000.0)
-    assert sched.pick(10_000.0) is entity
+    assert sched.pick_for_cpu(10_000.0, 0) is entity
 
 
 def test_cap_applies_to_whole_subtree(setup):
@@ -145,7 +146,7 @@ def test_round_robin_within_group_ignores_history(setup):
     simulate(sched, [hog, newcomer], manager, 200)
     newcomer.runnable = True
     sched.on_wakeup(newcomer, 0.0)  # volatile entities announce wakeups
-    first = sched.pick(0.0)
+    first = sched.pick_for_cpu(0.0, 0)
     assert first is newcomer  # least-recently-ran wins immediately
 
 
@@ -173,7 +174,7 @@ def test_detach_forgets_entity(setup):
     entity = FakeEntity("e", c)
     sched.attach(entity)
     sched.detach(entity)
-    assert sched.pick(0.0) is None
+    assert sched.pick_for_cpu(0.0, 0) is None
 
 
 def test_group_weight_residual_split(setup):
@@ -196,4 +197,4 @@ def test_scheduler_binding_priority_combines(setup):
     sched.attach(multiplexed)
     sched.attach(plain)
     # mux charges 'low' but its combined priority (9) beats plain's 5.
-    assert sched.pick(0.0) is multiplexed
+    assert sched.pick_for_cpu(0.0, 0) is multiplexed

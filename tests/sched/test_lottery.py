@@ -26,7 +26,7 @@ def test_share_tracks_tickets(setup):
     sched.attach(poor)
     wins = {"rich": 0, "poor": 0}
     for _ in range(4000):
-        wins[sched.pick(0.0).name] += 1
+        wins[sched.pick_for_cpu(0.0, 0).name] += 1
     share = wins["rich"] / 4000
     assert share == pytest.approx(0.75, abs=0.04)
 
@@ -49,12 +49,12 @@ def test_single_runnable_always_picked(setup):
     only = FakeEntity("only", manager.create("only"))
     sched.attach(only)
     for _ in range(50):
-        assert sched.pick(0.0) is only
+        assert sched.pick_for_cpu(0.0, 0) is only
 
 
 def test_no_runnable_returns_none(setup):
     _manager, sched = setup
-    assert sched.pick(0.0) is None
+    assert sched.pick_for_cpu(0.0, 0) is None
 
 
 def test_deterministic_given_seed():
@@ -70,4 +70,4 @@ def _run_sequence(manager, seed):
     b = FakeEntity("b", manager.create("b"))
     sched.attach(a)
     sched.attach(b)
-    return [sched.pick(0.0).name for _ in range(30)]
+    return [sched.pick_for_cpu(0.0, 0).name for _ in range(30)]

@@ -72,10 +72,11 @@ def test_cpu_limit_never_exceeded_per_window(limit, steps):
     now = 0.0
     quantum = 500.0
     for _ in range(steps):
-        picked = sched.pick(now)
+        picked = sched.pick_for_cpu(now, 0)
         if picked is not None:
             leaf.charge_cpu(quantum)
             sched.charge(picked, leaf, quantum, now)
+            sched.on_slice_end(picked, now)
             # Within-window cap: usage may overshoot by at most one
             # quantum (the slice in flight when the cap was crossed).
             assert capped.window_usage_us <= limit * 10_000.0 + quantum + 1e-6
@@ -100,10 +101,11 @@ def test_pick_is_deterministic(seed):
         names = []
         now = 0.0
         for _ in range(50):
-            picked = sched.pick(now)
+            picked = sched.pick_for_cpu(now, 0)
             names.append(picked.name)
             sched.charge(picked, picked.container, 1000.0, now)
             picked.container.charge_cpu(1000.0)
+            sched.on_slice_end(picked, now)
             now += 1000.0
         return names
 

@@ -22,7 +22,7 @@ def test_lowest_usage_runs_first(setup):
     sched.attach(a)
     sched.attach(b)
     sched.charge(a, a.container, 5_000.0, 0.0)
-    assert sched.pick(0.0) is b
+    assert sched.pick_for_cpu(0.0, 0) is b
 
 
 def test_usage_decays_over_time(setup):
@@ -44,7 +44,7 @@ def test_equal_usage_alternates_fairly(setup):
     usage = {"a": 0.0, "b": 0.0}
     now = 0.0
     for _ in range(100):
-        entity = sched.pick(now)
+        entity = sched.pick_for_cpu(now, 0)
         sched.charge(entity, entity.container, 1000.0, now)
         usage[entity.name] += 1000.0
         now += 1000.0
@@ -56,7 +56,7 @@ def test_blocked_entities_skipped(setup):
     a = FakeEntity("a", manager.create("a"))
     sched.attach(a)
     a.runnable = False
-    assert sched.pick(0.0) is None
+    assert sched.pick_for_cpu(0.0, 0) is None
 
 
 def test_detach_cleans_state(setup):
@@ -65,4 +65,4 @@ def test_detach_cleans_state(setup):
     sched.attach(a)
     sched.charge(a, a.container, 100.0, 0.0)
     sched.detach(a)
-    assert sched.pick(0.0) is None
+    assert sched.pick_for_cpu(0.0, 0) is None
