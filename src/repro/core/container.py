@@ -52,6 +52,11 @@ _hierarchy_epoch = 0
 #: per-CPU ready shards) survive per-request principal churn without
 #: O(n) rebuilds.  Weight caches must keep watching the full epoch:
 #: a new top-level sibling does shift everyone's residual split.
+#:
+#: Invariant: every shape bump is also a full bump
+#: (:func:`bump_shape_epoch` moves both), so a consumer whose full
+#: epoch is current knows its shape epoch is current too, and can
+#: guard both tiers with one integer compare.
 _shape_epoch = 0
 
 
@@ -72,9 +77,13 @@ def bump_hierarchy_epoch() -> None:
 
 
 def bump_shape_epoch() -> None:
-    """Invalidate caches of existing containers' shape derivations."""
-    global _shape_epoch
+    """Invalidate caches of existing containers' shape derivations.
+
+    Bumps the full epoch as well: a shape change is a hierarchy change.
+    """
+    global _hierarchy_epoch, _shape_epoch
     _shape_epoch += 1
+    _hierarchy_epoch += 1
 
 
 class ContainerState(enum.Enum):
@@ -163,7 +172,6 @@ class ResourceContainer:
     @attrs.setter
     def attrs(self, value: ContainerAttributes) -> None:
         self._attrs = value
-        bump_hierarchy_epoch()
         bump_shape_epoch()
 
     # ------------------------------------------------------------------
@@ -212,8 +220,9 @@ class ResourceContainer:
         self.parent = parent
         if parent is not None:
             parent.children.append(self)
-        bump_hierarchy_epoch()
-        if not _fresh:
+        if _fresh:
+            bump_hierarchy_epoch()
+        else:
             bump_shape_epoch()
         if self.window_usage_us > 0.0:
             # A charged subtree moved under a (possibly) new top: make

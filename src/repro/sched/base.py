@@ -69,7 +69,10 @@ class Scheduler(abc.ABC):
     trace = None
 
     def __init__(self) -> None:
-        self._entities: list[Schedulable] = []
+        #: id(entity) -> entity, in attach order.  Membership is by
+        #: identity, O(1) either way; iteration order is attach order,
+        #: which lottery draws and tie-breaks depend on.
+        self._entities: dict[int, Schedulable] = {}
         #: Cumulative CPU this scheduler has been told about via
         #: :meth:`charge` (positive amounts against a real container).
         #: The charging-conservation sanitizer reconciles this against
@@ -104,18 +107,18 @@ class Scheduler(abc.ABC):
 
     def attach(self, entity: Schedulable) -> None:
         """Make an entity eligible for scheduling."""
-        if entity not in self._entities:
-            self._entities.append(entity)
+        eid = id(entity)
+        if eid not in self._entities:
+            self._entities[eid] = entity
             self.on_attach(entity)
 
     def detach(self, entity: Schedulable) -> None:
         """Remove an entity (thread exit)."""
-        if entity in self._entities:
-            self._entities.remove(entity)
+        self._entities.pop(id(entity), None)
 
     def entities(self) -> list[Schedulable]:
-        """All attached entities (runnable or not)."""
-        return list(self._entities)
+        """All attached entities (runnable or not), in attach order."""
+        return list(self._entities.values())
 
     # -- policy hooks ------------------------------------------------------
 

@@ -67,15 +67,28 @@ every pick still evaluates exactly the entities a full scan would (with
 the same side effects), and pick cost follows runnable work rather than
 attached entities.
 
+The paper's servers are one event-driven process or a small thread
+pool, so the index usually holds one live entry or none.  When it holds
+at most one, homed on the picking core's shard, the pick evaluates that
+entry directly (:meth:`_sole_candidate`) instead of walking the heaps:
+under the same key, with the walk's side effects reproduced exactly,
+since shard ``queued`` counts steer placement.  Two or more live
+entries take the heap walk, which is the reference the differential
+fuzz compares the direct path against.
+
 Stale index entries are never searched for.  Mutations that can move an
 *existing* entity's placement key (reparent, attribute replacement)
 bump the global hierarchy *shape* epoch and the scheduler rebuilds its
 index on the next entry point; creating a container or destroying a
 leaf (per-request principal churn) bumps only the full epoch, which
-flushes the memoized group weights but leaves the ready shards and
-hierarchy memos intact.  Bucket and heap entries are validated when
-they surface (lazy deletion); ineligible candidates (capped out, or
-excluded volatiles) are set aside and re-queued after the pick.
+flushes the memoized group weights and entity keys but leaves the ready
+shards and hierarchy memos intact.  A shape bump always moves the full
+epoch too, so :meth:`_sync_epoch` guards both tiers with one integer
+compare.  Each indexed entity's ``(priority, gkey, group)`` is memoized
+between its change notifications, so re-queueing it after a slice does
+not re-derive it.  Bucket and heap entries are validated when they
+surface (lazy deletion); ineligible candidates (capped out, or excluded
+volatiles) are set aside and re-queued after the pick.
 """
 
 from __future__ import annotations
@@ -123,6 +136,13 @@ class _ReadyShard:
         self.queued = 0
 
 
+def _clear_shard(shard: _ReadyShard) -> None:
+    """Drop every heap entry on a shard that holds no live entry."""
+    shard.buckets.clear()
+    shard.layer_heaps.clear()
+    shard.gpos.clear()
+
+
 class ContainerScheduler(Scheduler):
     """Hierarchical fixed-share + time-share scheduler over containers."""
 
@@ -160,13 +180,20 @@ class ContainerScheduler(Scheduler):
         self._hcache = HierarchyCache()
         #: gid -> memoized top-level weight (flushed with the epoch).
         self._weights: dict[int, float] = {}
-        #: Full-epoch stamp guarding ``_weights``/``_wtotals``.
-        self._weights_epoch = hierarchy_epoch()
+        #: Full-epoch stamp guarding ``_weights``, ``_wtotals``,
+        #: ``_parts`` and (since every shape bump is also a full bump)
+        #: the shape-guarded ``_hcache`` and ready index.
+        self._epoch = hierarchy_epoch()
         #: Memoized (fixed_total, ts_total) over the root's children, so
         #: a weight fill is O(1) instead of O(siblings) per group.
         self._wtotals: Optional[tuple] = None
         #: id(entity) -> entity, for every attached entity.
         self._by_eid: dict[int, Schedulable] = {}
+        #: id(entity) -> memoized ``_entity_parts`` of a push-notify
+        #: entity; dropped on its change notification and detach, and
+        #: flushed whole with the full epoch (which also covers a
+        #: binding member dying: ``members()`` drops it silently).
+        self._parts: dict[int, tuple] = {}
         #: id(entity) -> entity for volatile (non-push-notify) entities
         #: that may be runnable; fed by attach and :meth:`on_wakeup`,
         #: pruned lazily by :meth:`pick_for_cpu`.
@@ -216,6 +243,7 @@ class ContainerScheduler(Scheduler):
         self._last_ran.pop(eid, None)
         self._order.pop(eid, None)
         self._by_eid.pop(eid, None)
+        self._parts.pop(eid, None)
         self._pos_drop(eid)
         self._home.pop(eid, None)
         cpu = self._active.pop(eid, None)
@@ -259,17 +287,21 @@ class ContainerScheduler(Scheduler):
         """Flush epoch-guarded caches after a hierarchy mutation.
 
         Two tiers: *any* mutation (including container create/destroy)
-        bumps the full epoch and flushes the memoized group weights;
-        only mutations that can move an existing entity's placement
-        (reparent, attribute replacement) bump the shape epoch and
-        force an index rebuild.  Per-request principal churn therefore
-        costs a weight-cache flush, not an O(n) rebuild.
+        bumps the full epoch and flushes the memoized group weights and
+        entity parts; only mutations that can move an existing entity's
+        placement (reparent, attribute replacement) bump the shape epoch
+        and force an index rebuild.  Per-request principal churn
+        therefore costs a memo flush, not an O(n) rebuild.  A shape bump
+        always moves the full epoch too, so the common case -- nothing
+        changed -- is one integer compare.
         """
         epoch = hierarchy_epoch()
-        if epoch != self._weights_epoch:
-            self._weights_epoch = epoch
-            self._weights.clear()
-            self._wtotals = None
+        if epoch == self._epoch:
+            return
+        self._epoch = epoch
+        self._weights.clear()
+        self._wtotals = None
+        self._parts.clear()
         if self._hcache.check():
             self._rebuild_index()
 
@@ -284,7 +316,7 @@ class ContainerScheduler(Scheduler):
         self._layer_counts.clear()
         self._group_home.clear()
         active = self._active
-        for entity in self._entities:
+        for entity in self._entities.values():
             if (
                 _push_notify(entity)
                 and entity.runnable
@@ -358,7 +390,10 @@ class ContainerScheduler(Scheduler):
 
     def _index_insert(self, entity: Schedulable) -> None:
         eid = id(entity)
-        priority, gkey, group = self._entity_parts(entity)
+        parts = self._parts.get(eid)
+        if parts is None:
+            parts = self._parts[eid] = self._entity_parts(entity)
+        priority, gkey, group = parts
         self._pos_drop(eid)  # supersede any previous live entry
         cpu = self._place(eid, gkey, group)
         self._home[eid] = cpu
@@ -404,13 +439,15 @@ class ContainerScheduler(Scheduler):
         eid = id(entity)
         if eid not in self._order:
             return
+        self._parts.pop(eid, None)
         self._sync_epoch()
         if not entity.runnable:
             self._pos_drop(eid)
             return
         if eid in self._active:
             return  # running: re-queued with fresh parts at slice end
-        priority, gkey, _group = self._entity_parts(entity)
+        parts = self._parts[eid] = self._entity_parts(entity)
+        priority, gkey, _group = parts
         pos = self._pos.get(eid)
         if pos is not None and pos[1] == priority and pos[2] == gkey:
             return  # placement unchanged; the existing entry stands
@@ -586,7 +623,11 @@ class ContainerScheduler(Scheduler):
         best_shard: Optional[_ReadyShard] = None
         victim: Optional[int] = None
         shard = self._shards[cpu]
-        candidate = self._indexed_candidate(shard, exclude, deferred, best_key)
+        sole = self._sole_live_entry_here(cpu)
+        if sole:
+            candidate = self._sole_candidate(shard, exclude, best_key)
+        else:
+            candidate = self._indexed_candidate(shard, exclude, deferred, best_key)
         if candidate is not None:
             key, entity, group, bkey = candidate
             if best_key is None or key < best_key:
@@ -595,7 +636,7 @@ class ContainerScheduler(Scheduler):
                 best_group = group
                 best_bkey = bkey
                 best_shard = shard
-        if self.n_cpus > 1:
+        if self.n_cpus > 1 and not sole:
             stolen = self._steal_candidate(cpu, best_key, exclude, deferred)
             if stolen is not None:
                 key, entity, group, bkey, vshard = stolen
@@ -612,8 +653,11 @@ class ContainerScheduler(Scheduler):
             self._last_ran[eid] = self._pick_seq
             bucket = None
             if best_bkey is not None:
-                bucket = best_shard.buckets[best_bkey]
-                heapq.heappop(bucket)  # the validated head == best
+                if sole:
+                    _clear_shard(best_shard)  # every other entry is dead
+                else:
+                    bucket = best_shard.buckets[best_bkey]
+                    heapq.heappop(bucket)  # the validated head == best
                 self._pos_drop(eid)
                 # Dequeue-on-dispatch: the winner runs off-index.
                 self._active[eid] = cpu
@@ -684,6 +728,67 @@ class ContainerScheduler(Scheduler):
                 group = self._groups.get(gkey)
                 if group is not None:
                     self._push_group_entry(shard, priority, gkey, group, bucket)
+
+    def _sole_live_entry_here(self, cpu: int) -> bool:
+        """True when the index holds at most one live entry and any such
+        entry is homed on ``cpu``'s shard (the direct-pick condition)."""
+        pos = self._pos
+        return not pos or (
+            len(pos) == 1 and next(iter(pos.values()))[0] == cpu
+        )
+
+    def _sole_candidate(
+        self,
+        shard: _ReadyShard,
+        exclude: Optional[set],
+        best_volatile_key: Optional[tuple],
+    ) -> Optional[tuple]:
+        """:meth:`_indexed_candidate` for an index holding at most one
+        live entry, homed on ``shard``: that entry, evaluated directly.
+
+        Every other entry in the index is dead, so the heap walk could
+        only ever surface this one; its side effects are reproduced
+        exactly, since shard ``queued`` counts steer :meth:`_place`.
+        The entry is retired when not runnable only if the walk would
+        have reached its layer (no volatile candidate outranks it); an
+        excluded or capped entry stays where it is; and a bucket the
+        walk cannot reach (no live group entry) yields nothing.  Since
+        the entry is on this shard, stealing could find nothing either.
+        """
+        for eid, (_cpu, priority, gkey, stamp) in self._pos.items():
+            break
+        else:
+            if shard.layer_heaps or shard.buckets:
+                _clear_shard(shard)  # nothing live anywhere
+            return None
+        if best_volatile_key is not None and -best_volatile_key[0] > priority:
+            return None  # the walk stops above this entry's layer
+        bkey = (priority, gkey)
+        if gkey is None:
+            group = None
+        else:
+            if bkey not in shard.gpos:
+                return None  # the walk has no group entry leading here
+            group = self._groups.get(gkey)
+            if group is None:
+                del shard.gpos[bkey]  # as the walk drops the group entry
+                return None
+        entity = self._by_eid[eid]
+        if not entity.runnable:
+            self._pos_drop(eid)
+            _clear_shard(shard)
+            return None
+        if exclude is not None and eid in exclude:
+            return None
+        container = entity.charge_container()
+        if container is not None and self._capped(container):
+            return None
+        if group is None:
+            pass_value = self._group_vtime
+        else:
+            pass_value = _node_state(group).pass_value
+        key = (-priority, pass_value, stamp, self._order[eid])
+        return (key, entity, group, bkey)
 
     def _indexed_candidate(
         self,
@@ -913,6 +1018,6 @@ class ContainerScheduler(Scheduler):
         """Entities that are runnable and not throttled right now."""
         return [
             e
-            for e in self._entities
+            for e in self._entities.values()
             if e.runnable and not self.is_throttled(e, now)
         ]

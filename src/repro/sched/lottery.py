@@ -58,8 +58,8 @@ class LotteryScheduler(Scheduler):
     ) -> Optional[Schedulable]:
         runnable = [
             e
-            for e in self._entities
-            if e.runnable and (exclude is None or id(e) not in exclude)
+            for eid, e in self._entities.items()
+            if e.runnable and (exclude is None or eid not in exclude)
         ]
         if not runnable:
             return None

@@ -69,12 +69,12 @@ class UnixTimeshareScheduler(Scheduler):
     ) -> Optional[Schedulable]:
         best: Optional[Schedulable] = None
         best_key: Optional[tuple] = None
-        for entity in self._entities:
+        for eid, entity in self._entities.items():
             if not entity.runnable:
                 continue
-            if exclude is not None and id(entity) in exclude:
+            if exclude is not None and eid in exclude:
                 continue
-            key = (self.decayed_usage(entity, now), self._order.get(id(entity), 0))
+            key = (self.decayed_usage(entity, now), self._order.get(eid, 0))
             if best_key is None or key < best_key:
                 best_key = key
                 best = entity

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.attributes import fixed_share_attrs, timeshare_attrs
-from repro.core.container import ContainerState, ResourceContainer
+from repro.core import container as container_mod
+from repro.core.container import (
+    ContainerState,
+    ResourceContainer,
+    hierarchy_epoch,
+    shape_epoch,
+)
 from repro.kernel.errors import ContainerPolicyError
 
 
@@ -127,3 +133,34 @@ def test_network_charge_categories():
     assert c.usage.cpu_us == 10.0
     assert c.usage.cpu_network_us == 7.0
     assert c.usage.cpu_syscall_us == 3.0
+
+
+def _epochs():
+    return hierarchy_epoch(), shape_epoch()
+
+
+def test_every_shape_bump_moves_the_full_epoch():
+    """The scheduler guards its shape-tier caches with one compare on
+    the full epoch, which is sound only if a shape bump moves both."""
+    root = make_root()
+    parent = ResourceContainer("p", attrs=fixed_share_attrs(0.5), parent=root)
+    child = ResourceContainer("c", parent=root)
+    mutations = [
+        container_mod.bump_shape_epoch,
+        lambda: setattr(child, "attrs", timeshare_attrs(priority=2)),
+        lambda: child.set_parent(parent),
+        lambda: child.set_parent(None),
+    ]
+    for mutate in mutations:
+        full, shape = _epochs()
+        mutate()
+        assert hierarchy_epoch() != full
+        assert shape_epoch() != shape
+
+
+def test_fresh_container_moves_only_the_full_epoch():
+    root = make_root()
+    full, shape = _epochs()
+    ResourceContainer("fresh", parent=root)
+    assert hierarchy_epoch() != full
+    assert shape_epoch() == shape

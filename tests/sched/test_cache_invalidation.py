@@ -13,6 +13,7 @@ push-notify winner, so each single-pick check hands it back with
 import pytest
 
 from repro.core.attributes import fixed_share_attrs, timeshare_attrs
+from repro.core.binding import SchedulerBinding
 from repro.core.operations import ContainerManager
 from repro.sched.container_sched import ContainerScheduler
 
@@ -44,6 +45,19 @@ class NotifyEntity:
 
     def scheduler_containers(self):
         return [self._container] if self._container else []
+
+
+class BoundEntity(NotifyEntity):
+    """Push-notify stub whose priority comes from a real scheduler
+    binding (section 4.3): the max over its live members."""
+
+    def __init__(self, name, container):
+        super().__init__(name, container)
+        self.scheduler_binding = SchedulerBinding()
+        self.scheduler_binding.observe(container, 0.0)
+
+    def scheduler_containers(self):
+        return self.scheduler_binding.members()
 
 
 @pytest.fixture
@@ -190,3 +204,76 @@ def test_group_weight_re_resolves_after_sibling_created(setup):
     assert sched.group_weight(ts1) == pytest.approx(1.0)
     manager.create("ts2", attrs=timeshare_attrs(weight=1.0))
     assert sched.group_weight(ts1) == pytest.approx(0.5)
+
+
+# The scheduler memoizes each indexed entity's (priority, group) key.
+# Each case below changes the key of an entity whose memo is warm, and
+# the very next pick must see the new layer.  ``mid`` (priority 5) is
+# the steady rival; the mover starts at priority 1 or 9.
+
+
+def _rebind(manager, mover, layers):
+    mover.container = layers["high"]  # fires sched_note_change
+
+
+def _binding_add(manager, mover, layers):
+    mover.scheduler_binding.observe(layers["high"], 1.0)  # fires on_change
+
+
+def _binding_prune(manager, mover, layers):
+    # Ages out everything but the current resource binding (low).
+    mover.scheduler_binding.prune(10_000.0, max_age_us=1.0, keep=layers["low"])
+
+
+def _member_destroyed(manager, mover, layers):
+    # ``members()`` drops a dead container without firing on_change;
+    # only the destroy's epoch bump can invalidate the memo.
+    manager.release(layers["high"])
+
+
+_KEY_CHANGES = [
+    # (mutation, mover type, starts in the high layer, ends in it)
+    ("rebind", _rebind, NotifyEntity, False, True),
+    ("binding-add", _binding_add, BoundEntity, False, True),
+    ("binding-prune", _binding_prune, BoundEntity, True, False),
+    ("member-destroyed", _member_destroyed, BoundEntity, True, False),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,mover_cls,start_high,ends_high,phase",
+    [
+        pytest.param(*case[1:], phase, id=f"{case[0]}-{phase}")
+        for case in _KEY_CHANGES
+        for phase in ("queued", "running")
+        # A queued entry keeps its layer until it is re-queued, and a
+        # silent member death re-queues nothing.
+        if not (case[0] == "member-destroyed" and phase == "queued")
+    ],
+)
+def test_memoized_key_sees_the_new_layer(
+    setup, mutate, mover_cls, start_high, ends_high, phase
+):
+    manager, sched = setup
+    layers = {
+        "low": manager.create("low", attrs=timeshare_attrs(priority=1)),
+        "high": manager.create("high", attrs=timeshare_attrs(priority=9)),
+    }
+    mid = manager.create("mid", attrs=timeshare_attrs(priority=5))
+    mover = mover_cls("m", layers["low"])
+    if start_high:
+        mover.scheduler_binding.observe(layers["high"], 0.0)
+    steady = NotifyEntity("s", mid)
+    sched.attach(mover)
+    sched.attach(steady)
+    first = mover if start_high else steady
+    assert sched.pick_for_cpu(0.0, 0) is first  # memo warm, layer as built
+    sched.on_slice_end(first, 0.0)
+    if phase == "queued":
+        mutate(manager, mover, layers)
+    else:
+        # Mutate while the mover runs; on_slice_end re-queues it.
+        assert sched.pick_for_cpu(0.0, 0, {id(steady)}) is mover
+        mutate(manager, mover, layers)
+        sched.on_slice_end(mover, 0.0)
+    assert sched.pick_for_cpu(1.0, 0) is (mover if ends_high else steady)
