@@ -6,7 +6,8 @@
 #
 # Runs, in order:
 #   0. the determinism lint (static gate: no wall clocks, global RNG,
-#      OS entropy, hash(), or bare-set iteration in src/repro)
+#      OS entropy, hash(), bare-set iteration, or module-level id
+#      counters in src/repro)
 #   0b. trace determinism: a traced fig11 smoke run twice must export
 #      byte-identical artifacts, and the Chrome trace must be
 #      schema-valid JSON
@@ -23,7 +24,8 @@
 #      unmodified host must carry a burn-rate alert
 #   0h. cluster byte-determinism: a 5-host cluster run (balancer + 4
 #      backends, global principals, SYN flood) hashed over every
-#      host's trace must be identical across two same-seed runs and
+#      host's trace must be identical across two same-seed runs in
+#      one process (no reset between them: ids are per-simulation) and
 #      equal to the pinned digest (a schedule change fails here)
 #   0i. benchmark outputs: a short perfbench run of each workload must
 #      report "correct": true, i.e. the simulated outputs still match
@@ -141,32 +143,11 @@ echo "monitor determinism OK (dashboards byte-identical across runs)"
 echo "== tier-0h: cluster byte-determinism =="
 python - <<'PYEOF'
 import hashlib
-import itertools
 
 from repro.experiments.fig_cluster_isolation import _start_clients, build_cluster
 
 
-def reset_id_counters():
-    # Entity names in the trace draw on module-level id streams; reset
-    # them so back-to-back runs in this one process start identically.
-    from repro.apps import mailserver, webclient
-    from repro.apps.httpserver import cgi
-    from repro.core import container
-    from repro.kernel import events, process
-    from repro.net import packet, tcp
-
-    for mod, attr in (
-        (container, "_container_ids"), (process, "_pids"),
-        (process, "_tids"), (packet, "_packet_seq"),
-        (tcp, "_conn_ids"), (events, "_event_seq"),
-        (cgi, "_cgi_ids"), (webclient, "_request_ids"),
-        (mailserver, "_message_ids"),
-    ):
-        setattr(mod, attr, itertools.count(1))
-
-
 def digest(seed):
-    reset_id_counters()
     cluster, _balancer, _principals = build_cluster("bound", 4, seed=seed)
     records = cluster.sim.trace.record(
         ["cpu.slice", "lb.forward", "lb.splice", "cluster.window"]

@@ -372,6 +372,15 @@ class _Linter:
                 "without seq tie-breakers pop equal keys in "
                 "process-dependent order",
             )
+        if dotted == "itertools.count" and not chain:
+            self._flag(
+                node,
+                "DET107",
+                "itertools.count() at import time is one id stream for "
+                "every simulation in the process; draw ids from "
+                "Simulation.id_stream(name) or keep the counter on an "
+                "instance",
+            )
         if dotted is not None and (
             dotted == "random" or dotted.startswith("random.")
         ):

@@ -111,6 +111,19 @@ RULES: dict[str, Rule] = {
             "tie-breaker, reviewed.",
         ),
         Rule(
+            id="DET107",
+            name="module-counter",
+            flags="itertools.count(...) evaluated at import time: at "
+            "module level, or in a class body outside any function",
+            # One such stream serves every simulation in the process.
+            breaks="trace digests: ids drawn from a process-wide counter "
+            "(and the entity names built from them) depend on how many "
+            "objects earlier runs in the process created, so a second "
+            "run diverges from a fresh one.  Draw ids from "
+            "Simulation.id_stream(name), or keep the counter on an "
+            "instance.",
+        ),
+        Rule(
             id="CHG201",
             name="uncharged-subsystem",
             flags="a registered resource-consuming primitive (see "

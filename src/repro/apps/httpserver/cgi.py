@@ -22,7 +22,6 @@ Figs. 12 and 13.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.apps.httpserver.common import ConnInfo
@@ -32,8 +31,6 @@ from repro.syscall import api
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apps.httpserver.event_driven import EventDrivenServer
-
-_cgi_ids = itertools.count(1)
 
 #: The paper's CGI requests each consume about 2 seconds of CPU.
 DEFAULT_CGI_CPU_US = 2_000_000.0
@@ -82,6 +79,9 @@ class CgiPolicy:
         #: (worker_pid, pipe_fd) pairs; dispatch is round-robin.
         self._workers: list[tuple[int, int]] = []
         self._next_worker = 0
+        #: Request-container and child-process numbering; bound to the
+        #: simulation's ``id_stream("cgi")`` by :meth:`setup`.
+        self._ids = None
         self.stats_dispatched = 0
 
     def matches(self, path: str) -> bool:
@@ -94,6 +94,7 @@ class CgiPolicy:
 
     def setup(self, server: "EventDrivenServer"):
         """Create the CGI-parent sandbox and any persistent workers."""
+        self._ids = server.kernel.sim.id_stream("cgi")
         if server.use_containers and self.cpu_limit is not None:
             self.parent_cfd = yield api.ContainerCreate(
                 f"{server.name}:cgi-parent",
@@ -136,7 +137,7 @@ class CgiPolicy:
         request_cfd: Optional[int] = None
         if server.use_containers:
             request_cfd = yield api.ContainerCreate(
-                f"{server.name}:cgi-req-{next(_cgi_ids)}",
+                f"{server.name}:cgi-req-{next(self._ids)}",
                 attrs=timeshare_attrs(),
                 parent_fd=self.parent_cfd,
             )
@@ -155,7 +156,7 @@ class CgiPolicy:
         request_cfd: Optional[int] = None
         if server.use_containers:
             request_cfd = yield api.ContainerCreate(
-                f"{server.name}:cgi-req-{next(_cgi_ids)}",
+                f"{server.name}:cgi-req-{next(self._ids)}",
                 attrs=timeshare_attrs(),
                 parent_fd=self.parent_cfd,
             )
@@ -165,7 +166,7 @@ class CgiPolicy:
             yield api.ContainerBindThread(request_cfd)
         yield api.Fork(
             self._make_cgi_child(server, fd, message),
-            name=f"cgi-{next(_cgi_ids)}",
+            name=f"cgi-{next(self._ids)}",
             inherit_binding=server.use_containers,
             pass_fds=[fd],
         )
@@ -205,7 +206,7 @@ class CgiPolicy:
         remote_cfd: Optional[int] = None
         if server.use_containers:
             request_cfd = yield api.ContainerCreate(
-                f"{server.name}:cgi-req-{next(_cgi_ids)}",
+                f"{server.name}:cgi-req-{next(self._ids)}",
                 attrs=timeshare_attrs(),
                 parent_fd=self.parent_cfd,
             )

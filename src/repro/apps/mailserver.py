@@ -20,8 +20,7 @@ Architecture (single process):
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.apps.httpserver.common import ListenSpec
@@ -32,8 +31,6 @@ from repro.syscall import api
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
     from repro.kernel.process import Process
-
-_message_ids = itertools.count(1)
 
 #: Simulated user-level costs (us).  Parsing an envelope is cheap;
 #: spooling scales with size; remote delivery is dominated by waiting.
@@ -50,7 +47,6 @@ class MailMessage:
     sender: str
     recipient: str
     size_bytes: int = 4 * 1024
-    message_id: int = field(default_factory=lambda: next(_message_ids))
 
 
 @dataclass

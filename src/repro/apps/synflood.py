@@ -44,6 +44,7 @@ class SynFlooder:
             raise ValueError(f"batch must be >= 1, got {batch}")
         self.kernel = kernel
         self.sim = kernel.sim
+        self._packet_seqs = kernel.sim.id_stream("packet")
         self.rate_per_sec = rate_per_sec
         self.subnet = subnet
         self.subnet_bits = subnet_bits
@@ -77,6 +78,7 @@ class SynFlooder:
             return
         packets = [
             alloc_packet(
+                next(self._packet_seqs),
                 PacketKind.SYN,
                 self._source_address(),
                 src_port=20_000 + (self.stats_sent + i) % 40_000,

@@ -12,15 +12,13 @@ behaviour is what lets Fig. 14's unmodified system collapse to zero
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.kernel.kernel import Kernel
 from repro.net.packet import PacketKind, alloc_packet
 from repro.net.tcp import Connection, HalfOpen
 from repro.sim.rng import SeededRng
-
-_request_ids = itertools.count(1)
 
 
 @dataclass
@@ -29,13 +27,14 @@ class HttpRequest:
 
     ``persistent`` tells the server whether the client intends to reuse
     the connection (HTTP/1.1 keep-alive) or expects a close after the
-    response (HTTP/1.0).
+    response (HTTP/1.0).  ``request_id`` comes from the simulation's
+    ``id_stream("request")``.
     """
 
+    request_id: int
     path: str
     client_name: str
     persistent: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
     issued_at: float = 0.0
 
 
@@ -92,6 +91,8 @@ class HttpClient:
         self._timeout_event = None
         self._timeout_seq = None
         self._src_port = itertools.count(10_000)
+        self._packet_seqs = self.sim.id_stream("packet")
+        self._request_ids = self.sim.id_stream("request")
         self.stats_completed = 0
         self.stats_retries = 0
         self.latencies_us: list[float] = []
@@ -118,6 +119,7 @@ class HttpClient:
         if not self.running:
             return
         self.current = HttpRequest(
+            request_id=next(self._request_ids),
             path=self.path,
             client_name=self.name,
             persistent=self.persistent,
@@ -133,6 +135,7 @@ class HttpClient:
     def _send_syn(self) -> None:
         self.conn = None
         packet = alloc_packet(
+            next(self._packet_seqs),
             PacketKind.SYN,
             self.src_addr,
             src_port=next(self._src_port),
@@ -145,6 +148,7 @@ class HttpClient:
         if self.conn is None or self.current is None:
             return
         packet = alloc_packet(
+            next(self._packet_seqs),
             PacketKind.DATA,
             self.src_addr,
             dst_port=self.server_port,
@@ -162,6 +166,7 @@ class HttpClient:
         if self.current is None:
             return
         packet = alloc_packet(
+            next(self._packet_seqs),
             PacketKind.HANDSHAKE_ACK,
             self.src_addr,
             src_port=half_open.src_port,
@@ -205,6 +210,7 @@ class HttpClient:
             # HTTP/1.0 teardown: the client's FIN costs the server one
             # more protocol action.
             fin = alloc_packet(
+                next(self._packet_seqs),
                 PacketKind.FIN,
                 self.src_addr,
                 dst_port=self.server_port,
@@ -253,6 +259,7 @@ class HttpClient:
         if self.conn is not None:
             # Abandon the connection cleanly so the server can reap it.
             fin = alloc_packet(
+                next(self._packet_seqs),
                 PacketKind.FIN,
                 self.src_addr,
                 dst_port=self.server_port,
@@ -263,6 +270,7 @@ class HttpClient:
         # Retry the same logical request on a fresh connection, with a
         # fresh id so stale responses are ignored.
         self.current = HttpRequest(
+            request_id=next(self._request_ids),
             path=self.path,
             client_name=self.name,
             persistent=self.persistent,

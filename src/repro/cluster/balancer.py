@@ -200,6 +200,7 @@ class BackendChannel:
 
     def start(self) -> None:
         packet = alloc_packet(
+            next(self.balancer._packet_seqs),
             PacketKind.SYN,
             self.src_addr,
             src_port=self.src_port,
@@ -219,6 +220,7 @@ class BackendChannel:
         if self.done:
             return
         packet = alloc_packet(
+            next(self.balancer._packet_seqs),
             PacketKind.HANDSHAKE_ACK,
             self.src_addr,
             src_port=half_open.src_port,
@@ -234,12 +236,14 @@ class BackendChannel:
         # Fresh request id: the backend's response must never be
         # mistaken for a response to the client's own request object.
         self.forward_request = HttpRequest(
+            request_id=next(self.balancer._request_ids),
             path=self.request.path,
             client_name=f"lb:{self.tenant}",
             persistent=False,
             issued_at=self.balancer.kernel.sim.now,
         )
         packet = alloc_packet(
+            next(self.balancer._packet_seqs),
             PacketKind.DATA,
             self.src_addr,
             dst_port=self.balancer.backend_port,
@@ -257,6 +261,7 @@ class BackendChannel:
             return
         self.done = True
         fin = alloc_packet(
+            next(self.balancer._packet_seqs),
             PacketKind.FIN,
             self.src_addr,
             dst_port=self.balancer.backend_port,
@@ -321,6 +326,8 @@ class LoadBalancer(EventDrivenServer):
         #: can classify them with filtered listen specs.
         self._channel_addrs: dict[str, int] = {}
         self._channel_port_next = 20_000
+        self._packet_seqs = self.kernel.sim.id_stream("packet")
+        self._request_ids = self.kernel.sim.id_stream("request")
         self.stats_forwarded = 0
         self.stats_rejected = 0
         self.stats_spliced = 0

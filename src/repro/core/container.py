@@ -16,7 +16,6 @@ This is a (documented) strengthening of the paper's stated rules.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.attributes import ContainerAttributes, SchedClass
@@ -25,8 +24,6 @@ from repro.kernel.errors import ContainerPolicyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.state import SchedulerNodeState
-
-_container_ids = itertools.count(1)
 
 #: Global hierarchy mutation epoch.  Bumped whenever anything that the
 #: scheduler's derived caches depend on changes: a container's parent
@@ -121,13 +118,14 @@ class ResourceContainer:
 
     def __init__(
         self,
+        cid: int,
         name: str,
         attrs: Optional[ContainerAttributes] = None,
         parent: Optional["ResourceContainer"] = None,
         *,
         is_root: bool = False,
     ) -> None:
-        self.cid: int = next(_container_ids)
+        self.cid = cid
         self.name = name
         # Initial attribute record: a brand-new container cannot change
         # any existing container's derivations, so bypass the setter's

@@ -9,7 +9,8 @@ in here for the semantics; unit tests call the manager directly.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import itertools
+from typing import Callable, Iterator, Optional
 
 from repro.core.attributes import ContainerAttributes, SchedClass
 from repro.core.binding import BindingManager
@@ -24,10 +25,16 @@ from repro.kernel.errors import ContainerPolicyError
 
 
 class ContainerManager:
-    """Creates, tracks, and destroys the containers of one host."""
+    """Creates, tracks, and destroys the containers of one host.
 
-    def __init__(self) -> None:
-        self.root = ResourceContainer("<root>", is_root=True)
+    ``cids`` is the id stream new containers draw from: a kernel passes
+    its simulation's ``id_stream("cid")`` (shared by every host on that
+    engine); a standalone manager numbers its own containers from 1.
+    """
+
+    def __init__(self, cids: Optional[Iterator[int]] = None) -> None:
+        self._cids = cids if cids is not None else itertools.count(1)
+        self.root = ResourceContainer(next(self._cids), "<root>", is_root=True)
         # The root is permanently referenced; it can never be destroyed.
         self.root.ref_descriptor()
         self._by_id: dict[int, ResourceContainer] = {self.root.cid: self.root}
@@ -62,7 +69,9 @@ class ContainerManager:
         """
         if parent is None:
             parent = self.root
-        container = ResourceContainer(name, attrs=attrs, parent=parent)
+        container = ResourceContainer(
+            next(self._cids), name, attrs=attrs, parent=parent
+        )
         container.ref_descriptor()
         self._by_id[container.cid] = container
         for hook in self.on_create:

@@ -15,9 +15,9 @@ every point on every invocation.  This module gives them:
   ``multiprocessing`` pool (``jobs`` workers).  Results are merged back
   by *point index*, never by completion order, so the output is
   byte-identical to a serial run.  Point runners build their entire
-  simulated world from their parameters and a seed (the repo's global
-  ID counters are labels, not behaviour), which makes a fresh worker
-  process and an in-process call interchangeable.
+  simulated world, ids included, from their parameters and a seed (ids
+  are per-simulation, drawn from ``Simulation.id_stream``), which makes
+  a fresh worker process and an in-process call interchangeable.
 
 * **A content-addressed result cache.**  Each point's key is the SHA-256
   digest of (the ``repro`` source tree, the experiment name, the

@@ -17,8 +17,7 @@ class ResourceUsage:
     """Cumulative resource consumption charged to one principal.
 
     All values are cumulative since creation; callers that need rates
-    snapshot the record and difference it (see
-    :class:`repro.metrics.stats.UsageSampler`).
+    snapshot the record and difference it.
     """
 
     cpu_us: float = 0.0

@@ -22,8 +22,6 @@ from typing import Optional
 from repro.kernel.waitq import WaitQueue
 from repro.syscall.api import IOEvent
 
-_event_seq = itertools.count(1)
-
 
 class ProcessEventQueue:
     """Priority-ordered pending-event queue for one process."""
@@ -31,6 +29,8 @@ class ProcessEventQueue:
     def __init__(self, name: str = "evq") -> None:
         self.name = name
         self._heap: list[tuple[int, int, IOEvent]] = []
+        #: Tie-breaker among equal priorities: FIFO within this queue.
+        self._seq = itertools.count(1)
         #: Suppress duplicate readiness events: (kind, fd) currently queued.
         self._pending_keys: set[tuple[str, int]] = set()
         self._declared: set[int] = set()
@@ -80,7 +80,7 @@ class ProcessEventQueue:
             return False
         if dedup:
             self._pending_keys.add(key)
-        heapq.heappush(self._heap, (-event.priority, next(_event_seq), event))
+        heapq.heappush(self._heap, (-event.priority, next(self._seq), event))
         self.stats_posted += 1
         return True
 

@@ -132,7 +132,10 @@ class Kernel:
         #: Set by the cluster layer so trace records and observability
         #: lanes can distinguish hosts sharing one simulation.
         self.host_name: Optional[str] = None
-        self.containers = ContainerManager()
+        # Per-simulation ids: hosts sharing an engine share each stream.
+        self.containers = ContainerManager(sim.id_stream("cid"))
+        self._pids = sim.id_stream("pid")
+        self._tids = sim.id_stream("tid")
         if self.config.scheduler_factory is not None:
             self.scheduler = self.config.scheduler_factory(self)
         else:
@@ -290,7 +293,7 @@ class Kernel:
         default = self.containers.create(
             f"proc:{name}", attrs=attrs, parent=parent_container
         )
-        process = Process(name, default)
+        process = Process(next(self._pids), name, default)
         self.processes[process.pid] = process
         if self.config.mode.net_mode is not NetMode.SOFTIRQ:
             net_thread = KernelNetThread(
@@ -315,7 +318,7 @@ class Kernel:
         process default container (inheritance from the creator, paper
         section 4.2).
         """
-        thread = Thread(process, body, name)
+        thread = Thread(next(self._tids), process, body, name)
         target = binding if binding is not None else process.default_container
         self.containers.bindings.bind_thread(thread, target, self.sim.now)
         process.threads.append(thread)
@@ -341,7 +344,7 @@ class Kernel:
         else:
             binding = None
             default = self.containers.create(f"proc:{name}", attrs=timeshare_attrs())
-        process = Process(name, default)
+        process = Process(next(self._pids), name, default)
         # fork() inherits descriptors; every copy takes a reference on
         # the underlying object.  pass_fds restricts inheritance (the
         # CGI path passes only the request's connection).

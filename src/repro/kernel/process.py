@@ -16,7 +16,6 @@ time slices, so thread progress is entirely governed by the scheduler.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.binding import SchedulerBinding
@@ -25,9 +24,6 @@ from repro.kernel.descriptors import DescriptorTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.syscall.api import Syscall
-
-_pids = itertools.count(1)
-_tids = itertools.count(1)
 
 #: Type of a thread body: a generator yielding syscall objects.
 ThreadBody = Generator["Syscall", Any, Any]
@@ -66,12 +62,13 @@ class Thread:
 
     def __init__(
         self,
+        tid: int,
         process: "Process",
         body: ThreadBody,
         name: str,
         resource_binding: Optional[ResourceContainer] = None,
     ) -> None:
-        self.tid: int = next(_tids)
+        self.tid = tid
         self.process = process
         self.body = body
         self.name = name
@@ -181,8 +178,10 @@ class Process:
     traditional-CGI inheritance path of section 4.8).
     """
 
-    def __init__(self, name: str, default_container: ResourceContainer) -> None:
-        self.pid: int = next(_pids)
+    def __init__(
+        self, pid: int, name: str, default_container: ResourceContainer
+    ) -> None:
+        self.pid = pid
         self.name = name
         self.default_container = default_container
         self.fds = DescriptorTable()

@@ -2,22 +2,13 @@
 text renderers that print paper-style tables."""
 
 from repro.metrics.billing import BillingReport, Tariff
-from repro.metrics.stats import (
-    LatencyRecorder,
-    Series,
-    ThroughputMeter,
-    UsageSampler,
-    mean,
-    percentile,
-)
+from repro.metrics.stats import Series, ThroughputMeter, mean, percentile
 
 __all__ = [
     "BillingReport",
-    "LatencyRecorder",
     "Series",
     "Tariff",
     "ThroughputMeter",
-    "UsageSampler",
     "mean",
     "percentile",
 ]

@@ -6,16 +6,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.container import ResourceContainer
-from repro.kernel.accounting import ResourceUsage
-
 
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean.  Raises ValueError on an empty sequence: an
     empty window has no mean, and silently reporting 0.0 would make a
     measurement bug look like a perfect latency figure.  Callers with a
-    meaningful empty-window default handle it explicitly (see
-    :meth:`LatencyRecorder.mean_ms`)."""
+    meaningful empty-window default handle it explicitly."""
     if not values:
         raise ValueError("mean of an empty sequence")
     return sum(values) / len(values)
@@ -79,87 +75,6 @@ class ThroughputMeter:
         if end is None or end <= self.started_at:
             return 0.0
         return self.count / ((end - self.started_at) / 1_000_000.0)
-
-
-@dataclass
-class LatencyRecorder:
-    """Collects response-time samples (microseconds)."""
-
-    samples: list = field(default_factory=list)
-    window_start: Optional[float] = None
-
-    def start(self, now: float) -> None:
-        """Discard warm-up samples and begin recording."""
-        self.window_start = now
-        self.samples = []
-
-    def record(self, started_at: float, completed_at: float) -> None:
-        """Record one request's latency if it began inside the window."""
-        if self.window_start is not None and started_at < self.window_start:
-            return
-        self.samples.append(completed_at - started_at)
-
-    def mean_ms(self) -> float:
-        """Mean latency in milliseconds (0.0 when no samples landed in
-        the window -- figure tables render an idle cell as zero)."""
-        if not self.samples:
-            return 0.0
-        return mean(self.samples) / 1000.0
-
-    def percentile_ms(self, pct: float) -> float:
-        """Percentile latency in milliseconds (0.0 when no samples
-        landed in the window)."""
-        if not self.samples:
-            return 0.0
-        return percentile(self.samples, pct) / 1000.0
-
-
-class UsageSampler:
-    """Differences container usage ledgers across a measurement window.
-
-    Used for Fig. 13 (CPU share of CGI processing) and the section-5.8
-    virtual-server experiment: snapshot at window start, snapshot at
-    window end, report the delta as a share of elapsed time.
-    """
-
-    def __init__(self) -> None:
-        self._start_snap: dict[int, ResourceUsage] = {}
-        self._start_time: Optional[float] = None
-        self._watched: dict[int, ResourceContainer] = {}
-
-    def watch(self, container: ResourceContainer) -> None:
-        """Track a container (call before start())."""
-        self._watched[container.cid] = container
-
-    def start(self, now: float) -> None:
-        """Snapshot all watched containers."""
-        self._start_time = now
-        from repro.core.hierarchy import subtree_usage
-
-        self._start_snap = {
-            cid: subtree_usage(c) for cid, c in self._watched.items()
-        }
-
-    def cpu_share(self, container: ResourceContainer, now: float) -> float:
-        """Fraction of elapsed window CPU charged to the subtree."""
-        if self._start_time is None or now <= self._start_time:
-            return 0.0
-        from repro.core.hierarchy import subtree_usage
-
-        start = self._start_snap.get(container.cid)
-        start_cpu = start.cpu_us if start is not None else 0.0
-        delta = subtree_usage(container).cpu_us - start_cpu
-        return delta / (now - self._start_time)
-
-    def cpu_us(self, container: ResourceContainer, now: float) -> float:
-        """Absolute CPU microseconds charged over the window."""
-        if self._start_time is None:
-            return 0.0
-        from repro.core.hierarchy import subtree_usage
-
-        start = self._start_snap.get(container.cid)
-        start_cpu = start.cpu_us if start is not None else 0.0
-        return subtree_usage(container).cpu_us - start_cpu
 
 
 @dataclass

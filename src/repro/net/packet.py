@@ -9,14 +9,11 @@ reference, and a payload.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.tcp import Connection
-
-_packet_seq = itertools.count(1)
 
 
 def ip_addr(a: int, b: int, c: int, d: int) -> int:
@@ -52,6 +49,10 @@ class PacketKind(enum.Enum):
 class Packet:
     """One inbound packet.
 
+    ``seq`` is the packet's id, drawn by its sender from the simulation's
+    ``id_stream("packet")``; trace records use it to follow one packet
+    from arrival to protocol completion.
+
     High-rate senders allocate through :func:`alloc_packet`, which
     recycles objects from a free list; the kernel's input path returns
     them with :func:`free_packet` once protocol processing (or an early
@@ -60,6 +61,7 @@ class Packet:
     safely.
     """
 
+    seq: int
     kind: PacketKind
     src_addr: int
     src_port: int = 0
@@ -67,7 +69,6 @@ class Packet:
     conn: Optional["Connection"] = None
     payload: Any = None
     size_bytes: int = 64
-    seq: int = field(default_factory=lambda: next(_packet_seq))
     #: True only between alloc_packet() and free_packet().
     _poolable: bool = field(default=False, repr=False, compare=False)
 
@@ -80,11 +81,12 @@ class Packet:
 
 #: Free list shared by every simulated host in the process (packets are
 #: plain value records; sharing cannot leak state because alloc resets
-#: every field, including a fresh global sequence number).
+#: every field, including the sequence number).
 _packet_pool: list[Packet] = []
 
 
 def alloc_packet(
+    seq: int,
     kind: PacketKind,
     src_addr: int,
     src_port: int = 0,
@@ -93,11 +95,10 @@ def alloc_packet(
     payload: Any = None,
     size_bytes: int = 64,
 ) -> Packet:
-    """Build a packet, recycling a freed one when available.
+    """Build packet ``seq``, recycling a freed one when available.
 
-    The sequence number is always drawn fresh from the same counter the
-    ``Packet`` constructor uses, so pooled and direct allocation produce
-    identical observable streams.
+    Pooled and direct allocation produce identical packets, so the pool
+    is invisible to every observable stream.
     """
     pool = _packet_pool
     if pool:
@@ -109,10 +110,11 @@ def alloc_packet(
         packet.conn = conn
         packet.payload = payload
         packet.size_bytes = size_bytes
-        packet.seq = next(_packet_seq)
+        packet.seq = seq
         packet._poolable = True
         return packet
     packet = Packet(
+        seq,
         kind,
         src_addr,
         src_port=src_port,

@@ -16,7 +16,6 @@ except through the packets they send.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Protocol
@@ -29,8 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.container import ResourceContainer
     from repro.kernel.kernel import Kernel
     from repro.kernel.process import Process
-
-_conn_ids = itertools.count(1)
 
 
 class ClientEndpoint(Protocol):
@@ -140,12 +137,13 @@ class Connection:
 
     def __init__(
         self,
+        conn_id: int,
         client: ClientEndpoint,
         src_addr: int,
         src_port: int,
         listen_socket: ListenSocket,
     ) -> None:
-        self.conn_id: int = next(_conn_ids)
+        self.conn_id = conn_id
         self.client = client
         self.src_addr = src_addr
         self.src_port = src_port
@@ -189,6 +187,7 @@ class TcpStack:
 
         self.kernel = kernel
         self.wire_delay_us = wire_delay_us
+        self._conn_ids = kernel.sim.id_stream("conn")
         #: Optional egress-delay override: callable(client, size_bytes)
         #: -> one-way delay in microseconds.  The cluster fabric installs
         #: one so server->client segments pay per-link latency and
@@ -366,6 +365,7 @@ class TcpStack:
             self.kernel.note_syn_drop(socket, half_open.src_addr)
             return
         conn = Connection(
+            conn_id=next(self._conn_ids),
             client=half_open.client,
             src_addr=half_open.src_addr,
             src_port=half_open.src_port,

@@ -17,6 +17,7 @@ and the per-event loop itself lives in :meth:`EventQueue.dispatch_batch`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
@@ -62,9 +63,22 @@ class Simulation:
         #: returns.  Kernels register their batched-charging flush here
         #: so ledgers are settled at every observation point.
         self.flush_hooks: list[Callable[[], None]] = []
+        self._id_streams: dict[str, itertools.count] = {}
         self._events_dispatched = 0
         self._running = False
         self._stop_requested = False
+
+    def id_stream(self, name: str) -> itertools.count:
+        """This simulation's id stream for ``name`` (``itertools.count(1)``,
+        created on first use).
+
+        Every caller asking for the same name shares one stream, so the
+        kernels of a cluster on one engine draw unique ids, while each
+        new simulation starts every stream at 1 and never depends on
+        what ran before it in the process.  Owners bind their stream
+        once at construction and pay one ``next()`` per id after that.
+        """
+        return self._id_streams.setdefault(name, itertools.count(1))
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -71,6 +71,9 @@ TRIGGER_FIXTURES = [
     # DET106: stray binary heaps (fixtures lint as a non-exempt path).
     ("DET106", "import heapq\n"),
     ("DET106", "from heapq import heappush\n"),
+    # DET107: id streams created at import time.
+    ("DET107", "import itertools\n\n_ids = itertools.count(1)\n"),
+    ("DET107", "from itertools import count\n\n_ids = count(1)\n"),
 ]
 
 CLEAN_FIXTURES = [
@@ -188,6 +191,27 @@ def test_det106_allowlisted_for_kernel_events_with_reason():
     source = "import heapq\n"
     allowed = lint.FILE_ALLOWLIST["kernel/events.py"]
     assert lint.lint_source(source, "kernel/events.py", allowed) == []
+
+
+def test_det107_flags_module_scope_and_ignores_function_bodies():
+    # Import-time counters are one stream for every simulation in the
+    # process, and a class attribute is as shared as a module global.
+    module = "import itertools\n\n_ids = itertools.count(1)\n"
+    class_attr = "import itertools\n\nclass C:\n    ids = itertools.count(1)\n"
+    assert [v.rule for v in lint.lint_source(module, "net/x.py")] == ["DET107"]
+    assert [v.rule for v in lint.lint_source(class_attr, "net/x.py")] == [
+        "DET107"
+    ]
+    # Counters built per call or per instance are per-owner state.
+    function = "import itertools\n\ndef f():\n    return itertools.count(1)\n"
+    method = (
+        "import itertools\n\nclass C:\n    def __init__(self):\n"
+        "        self._ids = itertools.count(1)\n"
+    )
+    assert lint.lint_source(function, "net/x.py") == []
+    assert lint.lint_source(method, "net/x.py") == []
+    # The allowlist grants DET107 to no file.
+    assert not any("DET107" in rules for rules in lint.FILE_ALLOWLIST.values())
 
 
 # ---------------------------------------------------------------------------

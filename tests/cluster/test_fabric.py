@@ -78,7 +78,7 @@ def test_send_delivers_to_destination_kernel():
     cluster.kernel("b").net_input = lambda packet: seen.append(
         (cluster.now, packet.kind)
     )
-    packet = alloc_packet(PacketKind.SYN, ip_addr(10, 0, 0, 1))
+    packet = alloc_packet(1, PacketKind.SYN, ip_addr(10, 0, 0, 1))
     cluster.fabric.send("a", "b", packet)
     cluster.run(until_us=1_000.0)
     assert seen == [(30.0 + 64 / 64.0, PacketKind.SYN)]

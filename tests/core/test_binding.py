@@ -15,8 +15,8 @@ class _FakeThread:
 
 def test_observe_and_members():
     binding = SchedulerBinding()
-    a = ResourceContainer("a")
-    b = ResourceContainer("b")
+    a = ResourceContainer(1, "a")
+    b = ResourceContainer(2, "b")
     binding.observe(a, now=0.0)
     binding.observe(b, now=1.0)
     assert len(binding) == 2
@@ -26,8 +26,8 @@ def test_observe_and_members():
 
 def test_prune_removes_stale():
     binding = SchedulerBinding()
-    a = ResourceContainer("a")
-    b = ResourceContainer("b")
+    a = ResourceContainer(1, "a")
+    b = ResourceContainer(2, "b")
     binding.observe(a, now=0.0)
     binding.observe(b, now=90_000.0)
     removed = binding.prune(now=150_000.0, max_age_us=100_000.0)
@@ -38,7 +38,7 @@ def test_prune_removes_stale():
 
 def test_prune_removes_dead_containers():
     binding = SchedulerBinding()
-    a = ResourceContainer("a")
+    a = ResourceContainer(1, "a")
     binding.observe(a, now=0.0)
     a.state = ContainerState.DESTROYED
     assert binding.prune(now=1.0) == 1
@@ -47,7 +47,7 @@ def test_prune_removes_dead_containers():
 
 def test_reobserve_refreshes_age():
     binding = SchedulerBinding()
-    a = ResourceContainer("a")
+    a = ResourceContainer(1, "a")
     binding.observe(a, now=0.0)
     binding.observe(a, now=99_000.0)
     assert binding.prune(now=150_000.0, max_age_us=100_000.0) == 0
@@ -55,8 +55,8 @@ def test_reobserve_refreshes_age():
 
 def test_reset_to_keeps_only_current():
     binding = SchedulerBinding()
-    a = ResourceContainer("a")
-    b = ResourceContainer("b")
+    a = ResourceContainer(1, "a")
+    b = ResourceContainer(2, "b")
     binding.observe(a, now=0.0)
     binding.observe(b, now=0.0)
     binding.reset_to(b, now=1.0)
@@ -66,8 +66,8 @@ def test_reset_to_keeps_only_current():
 
 def test_combined_priority_is_max():
     binding = SchedulerBinding()
-    binding.observe(ResourceContainer("lo", attrs=timeshare_attrs(priority=1)), 0.0)
-    binding.observe(ResourceContainer("hi", attrs=timeshare_attrs(priority=9)), 0.0)
+    binding.observe(ResourceContainer(1, "lo", attrs=timeshare_attrs(priority=1)), 0.0)
+    binding.observe(ResourceContainer(2, "hi", attrs=timeshare_attrs(priority=9)), 0.0)
     assert binding.combined_priority() == 9
 
 
@@ -79,8 +79,8 @@ def test_bind_thread_moves_reference():
     destroyed = []
     manager = BindingManager(destroyed.append)
     thread = _FakeThread()
-    a = ResourceContainer("a")
-    b = ResourceContainer("b")
+    a = ResourceContainer(1, "a")
+    b = ResourceContainer(2, "b")
     manager.bind_thread(thread, a, now=0.0)
     assert a.thread_binding_refs == 1
     manager.bind_thread(thread, b, now=1.0)
@@ -97,7 +97,7 @@ def test_rebind_same_container_is_noop():
     destroyed = []
     manager = BindingManager(destroyed.append)
     thread = _FakeThread()
-    a = ResourceContainer("a")
+    a = ResourceContainer(1, "a")
     manager.bind_thread(thread, a, now=0.0)
     manager.bind_thread(thread, a, now=1.0)
     assert a.thread_binding_refs == 1
@@ -108,7 +108,7 @@ def test_unbind_thread_releases():
     destroyed = []
     manager = BindingManager(destroyed.append)
     thread = _FakeThread()
-    a = ResourceContainer("a")
+    a = ResourceContainer(1, "a")
     manager.bind_thread(thread, a, now=0.0)
     manager.unbind_thread(thread)
     assert thread.resource_binding is None

@@ -19,15 +19,15 @@ from repro.kernel.errors import ContainerPolicyError
 
 @pytest.fixture
 def tree():
-    root = ResourceContainer("<root>", is_root=True)
+    root = ResourceContainer(1, "<root>", is_root=True)
     guest = ResourceContainer(
-        "guest", attrs=fixed_share_attrs(0.5, cpu_limit=0.5), parent=root
+        2, "guest", attrs=fixed_share_attrs(0.5, cpu_limit=0.5), parent=root
     )
     cgi_parent = ResourceContainer(
-        "cgi", attrs=fixed_share_attrs(0.3, cpu_limit=0.3), parent=guest
+        3, "cgi", attrs=fixed_share_attrs(0.3, cpu_limit=0.3), parent=guest
     )
-    leaf_a = ResourceContainer("a", parent=cgi_parent)
-    leaf_b = ResourceContainer("b", parent=guest)
+    leaf_a = ResourceContainer(4, "a", parent=cgi_parent)
+    leaf_b = ResourceContainer(5, "b", parent=guest)
     return root, guest, cgi_parent, leaf_a, leaf_b
 
 
@@ -84,9 +84,9 @@ def test_validate_accepts_good_tree(tree):
 
 
 def test_validate_rejects_oversubscription():
-    root = ResourceContainer("<root>", is_root=True)
-    ResourceContainer("a", attrs=fixed_share_attrs(0.7), parent=root)
-    ResourceContainer("b", attrs=fixed_share_attrs(0.6), parent=root)
+    root = ResourceContainer(1, "<root>", is_root=True)
+    ResourceContainer(2, "a", attrs=fixed_share_attrs(0.7), parent=root)
+    ResourceContainer(3, "b", attrs=fixed_share_attrs(0.6), parent=root)
     with pytest.raises(ContainerPolicyError):
         validate_hierarchy(root)
 

@@ -28,7 +28,7 @@ def test_owner_holds_all_rights():
 
 
 def test_unowned_is_permissive_via_check():
-    container = ResourceContainer("c")
+    container = ResourceContainer(1, "c")
     check_access(container, pid=99, needed=Right.ADMIN, enforce=True)
 
 
@@ -48,13 +48,13 @@ def test_revoke_clears_grants():
 
 
 def test_check_access_disabled_is_noop():
-    container = ResourceContainer("c")
+    container = ResourceContainer(1, "c")
     acl_of(container).owner_pid = 1
     check_access(container, pid=2, needed=Right.ADMIN, enforce=False)
 
 
 def test_check_access_denies_with_message():
-    container = ResourceContainer("c")
+    container = ResourceContainer(1, "c")
     acl_of(container).owner_pid = 1
     with pytest.raises(AccessDeniedError, match="set_attributes"):
         check_access(

@@ -52,7 +52,8 @@ class _Client:
 
 def _syn(index, client):
     return Packet(
-        kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, index), payload=client
+        seq=index, kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, index),
+        payload=client,
     )
 
 

@@ -28,7 +28,6 @@ from repro.kernel.kernel import KernelConfig
 from repro.sched.container_sched import ContainerScheduler
 from repro.syscall import api
 from tests.sched.test_cache_invalidation import NotifyEntity
-from tests.sched.test_trace_digest import _fresh_id_counters
 
 
 def _server_host(n_cpus: int, seed: int = 29, **host_kwargs) -> Host:
@@ -50,10 +49,9 @@ def _server_host(n_cpus: int, seed: int = 29, **host_kwargs) -> Host:
 
 def _smp_digest(n_cpus: int, seed: int = 29) -> str:
     """Digest of every CPU slice (with its core) of a seeded SMP run."""
-    with _fresh_id_counters():
-        host = _server_host(n_cpus, seed=seed)
-        records = host.sim.trace.record(["cpu.slice"])
-        host.run(seconds=0.2)
+    host = _server_host(n_cpus, seed=seed)
+    records = host.sim.trace.record(["cpu.slice"])
+    host.run(seconds=0.2)
     digest = hashlib.sha256()
     for record in records:
         line = (

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.core.attributes import fixed_share_attrs
-from repro.core.operations import ContainerManager
-from repro.metrics.stats import (
-    LatencyRecorder,
-    Series,
-    ThroughputMeter,
-    UsageSampler,
-    mean,
-    percentile,
-)
+from repro.metrics.stats import Series, ThroughputMeter, mean, percentile
 
 
 def test_mean_values():
@@ -104,38 +95,6 @@ def test_throughput_meter_without_stop_uses_now():
     meter.start(0.0)
     meter.record(1.0)
     assert meter.rate_per_second(now=500_000.0) == pytest.approx(2.0)
-
-
-def test_latency_recorder_window_filter():
-    recorder = LatencyRecorder()
-    recorder.start(1_000.0)
-    recorder.record(500.0, 2_000.0)   # started pre-window: dropped
-    recorder.record(1_500.0, 3_500.0)
-    assert recorder.samples == [2_000.0]
-    assert recorder.mean_ms() == pytest.approx(2.0)
-    assert recorder.percentile_ms(100) == pytest.approx(2.0)
-
-
-def test_latency_recorder_empty_window_reports_zero():
-    # The recorder (not the raw stats helpers) owns the "idle window
-    # renders as zero" convention the figure tables rely on.
-    recorder = LatencyRecorder()
-    recorder.start(0.0)
-    assert recorder.mean_ms() == 0.0
-    assert recorder.percentile_ms(95) == 0.0
-
-
-def test_usage_sampler_cpu_share():
-    manager = ContainerManager()
-    container = manager.create("c", attrs=fixed_share_attrs(0.5))
-    leaf = manager.create("leaf", parent=container)
-    sampler = UsageSampler()
-    sampler.watch(container)
-    leaf.usage.charge_cpu(100.0)  # pre-window usage
-    sampler.start(0.0)
-    leaf.usage.charge_cpu(250.0)
-    assert sampler.cpu_us(container, 1_000.0) == pytest.approx(250.0)
-    assert sampler.cpu_share(container, 1_000.0) == pytest.approx(0.25)
 
 
 def test_series_accessors():

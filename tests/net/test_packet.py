@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.net.packet import Packet, PacketKind, format_ip, ip_addr
+from repro.net.packet import (
+    Packet,
+    PacketKind,
+    alloc_packet,
+    format_ip,
+    free_packet,
+    ip_addr,
+)
+from repro.sim.engine import Simulation
 
 
 def test_ip_addr_roundtrip():
@@ -22,12 +30,19 @@ def test_ip_addr_structure():
 
 
 def test_packet_sequence_increases():
-    a = Packet(kind=PacketKind.SYN, src_addr=1)
-    b = Packet(kind=PacketKind.SYN, src_addr=1)
-    assert b.seq > a.seq
+    # Senders number packets from their simulation's stream: increasing
+    # within one simulation, and starting at 1 in every new one (the
+    # second pass also recycles the first pass's pooled packets).
+    for _ in range(2):
+        seqs = Simulation().id_stream("packet")
+        a = alloc_packet(next(seqs), PacketKind.SYN, 1)
+        b = alloc_packet(next(seqs), PacketKind.SYN, 1)
+        assert (a.seq, b.seq) == (1, 2)
+        free_packet(a)
+        free_packet(b)
 
 
 def test_packet_defaults():
-    packet = Packet(kind=PacketKind.DATA, src_addr=ip_addr(10, 0, 0, 1))
+    packet = Packet(seq=1, kind=PacketKind.DATA, src_addr=ip_addr(10, 0, 0, 1))
     assert packet.dst_port == 80
     assert packet.conn is None

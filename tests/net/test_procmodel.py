@@ -17,7 +17,7 @@ def setup():
 
 
 def packet(i=0):
-    return Packet(kind=PacketKind.DATA, src_addr=ip_addr(9, 9, 9, i + 1))
+    return Packet(seq=i + 1, kind=PacketKind.DATA, src_addr=ip_addr(9, 9, 9, i + 1))
 
 
 def test_enqueue_and_runnable(setup):
@@ -116,10 +116,10 @@ def test_protocol_cost_per_kind():
     host = Host(mode=SystemMode.RC, seed=13)
     costs = host.kernel.costs
     kernel = host.kernel
-    assert protocol_cost(kernel, Packet(kind=PacketKind.SYN, src_addr=1)) == costs.proto_syn
-    assert protocol_cost(kernel, Packet(kind=PacketKind.DATA, src_addr=1)) == costs.proto_rx_segment
-    assert protocol_cost(kernel, Packet(kind=PacketKind.FIN, src_addr=1)) == costs.proto_fin
+    assert protocol_cost(kernel, Packet(1, PacketKind.SYN, 1)) == costs.proto_syn
+    assert protocol_cost(kernel, Packet(1, PacketKind.DATA, 1)) == costs.proto_rx_segment
+    assert protocol_cost(kernel, Packet(1, PacketKind.FIN, 1)) == costs.proto_fin
     assert (
-        protocol_cost(kernel, Packet(kind=PacketKind.HANDSHAKE_ACK, src_addr=1))
+        protocol_cost(kernel, Packet(1, PacketKind.HANDSHAKE_ACK, 1))
         == costs.proto_established
     )

@@ -14,7 +14,7 @@ def shaped_container(rate, burst=8 * 1024, parent=None):
     attrs = ContainerAttributes(
         network_qos=NetworkQos(tx_rate_bytes_per_sec=rate, burst_bytes=burst)
     )
-    return ResourceContainer("shaped", attrs=attrs, parent=parent)
+    return ResourceContainer(1, "shaped", attrs=attrs, parent=parent)
 
 
 def test_qos_validation():
@@ -26,7 +26,7 @@ def test_qos_validation():
 
 def test_unshaped_container_passes_through():
     shaper = TransmitShaper()
-    container = ResourceContainer("plain")
+    container = ResourceContainer(1, "plain")
     assert shaper.release_delay(container, 100_000, now=0.0) == 0.0
     assert shaper.release_delay(None, 100_000, now=0.0) == 0.0
 
@@ -64,7 +64,7 @@ def test_idle_link_regains_credit_bounded():
 
 def test_effective_qos_takes_tightest_ancestor():
     parent = ResourceContainer(
-        "p",
+        2, "p",
         attrs=ContainerAttributes(
             sched_class=fixed_share_attrs(0.5).sched_class,
             fixed_share=0.5,

@@ -52,7 +52,7 @@ def test_syn_reaches_syn_queue():
     host, _ = make_listening_host()
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
     )
     host.run(until_us=5_000.0)
     socket = host.kernel.stack.listeners[0]
@@ -64,13 +64,13 @@ def test_full_handshake_fills_accept_queue():
     host, _ = make_listening_host()
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
     )
     host.run(until_us=2_000.0)
     half_open = client.synacks[0]
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=2, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 2, 3, 4),
             payload=half_open,
         )
@@ -87,7 +87,7 @@ def test_syn_queue_overflow_evicts_oldest():
     for index, client in enumerate(clients):
         host.kernel.net_input(
             Packet(
-                kind=PacketKind.SYN,
+                seq=1, kind=PacketKind.SYN,
                 src_addr=ip_addr(1, 2, 3, index + 1),
                 payload=client,
             )
@@ -121,7 +121,7 @@ def test_handshake_ack_removes_its_own_halfopen_not_an_equal_one():
     socket.syn_queue.extend([first, second])
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=1, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 2, 3, 4),
             payload=second,
         )
@@ -135,19 +135,19 @@ def test_handshake_ack_for_evicted_halfopen_ignored():
     host, _ = make_listening_host(backlog=1)
     first = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=first)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=first)
     )
     host.run(until_us=2_000.0)
     half_open = first.synacks[0]
     # Second SYN evicts the first half-open.
     second = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(2, 2, 2, 2), payload=second)
+        Packet(seq=2, kind=PacketKind.SYN, src_addr=ip_addr(2, 2, 2, 2), payload=second)
     )
     host.run(until_us=4_000.0)
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=3, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 1, 1, 1),
             payload=half_open,
         )
@@ -162,7 +162,7 @@ def test_stray_syn_without_listener_dropped():
     host = Host(mode=SystemMode.UNMODIFIED, seed=9)
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
     )
     host.run(until_us=2_000.0)
     assert host.kernel.stack.stats_stray == 1
@@ -174,7 +174,7 @@ def test_early_demux_drops_stray_before_protocol_cost():
     host = Host(mode=SystemMode.RC, seed=9)
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
     )
     host.run(until_us=2_000.0)
     assert host.kernel.stats_early_drops == 1
@@ -226,13 +226,13 @@ def test_connection_inherits_listen_socket_container():
     host.run(until_us=1_000.0)
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
     )
     host.run(until_us=3_000.0)
     half_open = client.synacks[0]
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=2, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 2, 3, 4),
             payload=half_open,
         )

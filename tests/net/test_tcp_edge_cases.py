@@ -16,12 +16,12 @@ def test_memory_limit_drops_rx_data():
     host, _state = make_listening_host()
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 2, 3, 4), payload=client)
     )
     host.run(until_us=3_000.0)
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=2, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 2, 3, 4),
             payload=client.synacks[0],
         )
@@ -35,7 +35,7 @@ def test_memory_limit_drops_rx_data():
     for index in range(3):
         host.kernel.net_input(
             Packet(
-                kind=PacketKind.DATA,
+                seq=3, kind=PacketKind.DATA,
                 src_addr=ip_addr(1, 2, 3, 4),
                 conn=conn,
                 payload=f"seg{index}",
@@ -93,12 +93,12 @@ def test_client_fin_before_server_close_is_eof():
     host.run(until_us=1_000.0)
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=client)
     )
     host.run(until_us=3_000.0)
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=2, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 1, 1, 1),
             payload=client.synacks[0],
         )
@@ -106,12 +106,12 @@ def test_client_fin_before_server_close_is_eof():
     host.run(until_us=6_000.0)
     conn = client.established[0]
     host.kernel.net_input(
-        Packet(kind=PacketKind.DATA, src_addr=ip_addr(1, 1, 1, 1), conn=conn,
+        Packet(seq=3, kind=PacketKind.DATA, src_addr=ip_addr(1, 1, 1, 1), conn=conn,
                payload="hello", size_bytes=64)
     )
     host.run(until_us=9_000.0)
     host.kernel.net_input(
-        Packet(kind=PacketKind.FIN, src_addr=ip_addr(1, 1, 1, 1), conn=conn)
+        Packet(seq=4, kind=PacketKind.FIN, src_addr=ip_addr(1, 1, 1, 1), conn=conn)
     )
     host.run(until_us=20_000.0)
     assert outcome["first"] == "hello"
@@ -122,12 +122,12 @@ def test_data_after_close_is_stray():
     host, _state = make_listening_host()
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=client)
     )
     host.run(until_us=3_000.0)
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=2, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 1, 1, 1),
             payload=client.synacks[0],
         )
@@ -136,13 +136,13 @@ def test_data_after_close_is_stray():
     conn = client.established[0]
     host.kernel.stack.server_close(conn)
     host.kernel.net_input(
-        Packet(kind=PacketKind.FIN, src_addr=ip_addr(1, 1, 1, 1), conn=conn)
+        Packet(seq=3, kind=PacketKind.FIN, src_addr=ip_addr(1, 1, 1, 1), conn=conn)
     )
     host.run(until_us=9_000.0)
     # Connection fully released; further data is ignored as stray.
     before = host.kernel.stack.stats_stray + host.kernel.stats_early_drops
     host.kernel.net_input(
-        Packet(kind=PacketKind.DATA, src_addr=ip_addr(1, 1, 1, 1), conn=conn,
+        Packet(seq=4, kind=PacketKind.DATA, src_addr=ip_addr(1, 1, 1, 1), conn=conn,
                payload="late", size_bytes=64)
     )
     host.run(until_us=12_000.0)
@@ -154,12 +154,12 @@ def test_double_server_close_is_idempotent():
     host, _state = make_listening_host()
     client = RecordingClient(host)
     host.kernel.net_input(
-        Packet(kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=client)
+        Packet(seq=1, kind=PacketKind.SYN, src_addr=ip_addr(1, 1, 1, 1), payload=client)
     )
     host.run(until_us=3_000.0)
     host.kernel.net_input(
         Packet(
-            kind=PacketKind.HANDSHAKE_ACK,
+            seq=2, kind=PacketKind.HANDSHAKE_ACK,
             src_addr=ip_addr(1, 1, 1, 1),
             payload=client.synacks[0],
         )

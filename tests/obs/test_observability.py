@@ -10,7 +10,6 @@ from repro.apps.webclient import HttpClient
 from repro.obs import Observability, UNACCOUNTED
 from repro.obs.export import chrome_trace, jsonl_lines, validate_chrome_trace
 from repro.obs import observe as observe_mod
-from tests.sched.test_trace_digest import _fresh_id_counters
 
 
 def _run_workload(observe=True, seed=41, seconds=0.2):
@@ -131,8 +130,7 @@ def test_exports_are_byte_identical_across_runs(tmp_path):
     run twice in one process must export byte-identical artifacts."""
 
     def one_run(outdir):
-        with _fresh_id_counters():
-            host = _run_workload(seconds=0.1)
+        host = _run_workload(seconds=0.1)
         paths = host.observability.export(outdir)
         return {p.name: p.read_bytes() for p in paths}
 
@@ -151,8 +149,7 @@ def test_observing_does_not_change_results():
     identical with and without the whole obs stack attached."""
 
     def client_stats(observe):
-        with _fresh_id_counters():
-            host = _run_workload(observe=observe, seconds=0.1)
+        host = _run_workload(observe=observe, seconds=0.1)
         accounting = host.kernel.cpu.accounting
         return (accounting.total_cpu_us, accounting.unaccounted_cpu_us,
                 host.now)
@@ -226,8 +223,7 @@ def test_smp_registry_core_counters_reconcile():
 
 def test_smp_exports_are_byte_identical_across_runs(tmp_path):
     def one_run(outdir):
-        with _fresh_id_counters():
-            host = _run_smp_workload(seconds=0.1)
+        host = _run_smp_workload(seconds=0.1)
         paths = host.observability.export(outdir)
         return {p.name: p.read_bytes() for p in paths}
 

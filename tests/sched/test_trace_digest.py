@@ -23,9 +23,7 @@ descriptors (an extra OpenFile/ContainerBindSocket per class) -- both
 deliberately reshape the schedule, so the old digest could not survive.
 """
 
-import contextlib
 import hashlib
-import itertools
 
 from repro import Host, SystemMode, ip_addr
 from repro.apps.httpserver import CgiPolicy, EventDrivenServer
@@ -37,53 +35,8 @@ EXPECTED_DIGEST = (
 )
 
 
-@contextlib.contextmanager
-def _fresh_id_counters():
-    """Reset the global id counters for the duration of the run.
-
-    Container/process/thread names embed ids drawn from module-level
-    ``itertools.count`` streams, and those names feed the digest -- so
-    without this, the digest would depend on how many objects earlier
-    tests in the same process happened to create.  The original counter
-    objects are restored afterwards so other tests keep unique ids.
-    """
-    from repro.apps import mailserver as mail_mod
-    from repro.apps import webclient as webclient_mod
-    from repro.apps.httpserver import cgi as cgi_mod
-    from repro.core import container as container_mod
-    from repro.kernel import events as kevents_mod
-    from repro.kernel import process as process_mod
-    from repro.net import packet as packet_mod
-    from repro.net import tcp as tcp_mod
-
-    saved = [
-        (container_mod, "_container_ids"),
-        (process_mod, "_pids"),
-        (process_mod, "_tids"),
-        (packet_mod, "_packet_seq"),
-        (tcp_mod, "_conn_ids"),
-        (kevents_mod, "_event_seq"),
-        (cgi_mod, "_cgi_ids"),
-        (webclient_mod, "_request_ids"),
-        (mail_mod, "_message_ids"),
-    ]
-    originals = [(mod, attr, getattr(mod, attr)) for mod, attr in saved]
-    for mod, attr in saved:
-        setattr(mod, attr, itertools.count(1))
-    try:
-        yield
-    finally:
-        for mod, attr, counter in originals:
-            setattr(mod, attr, counter)
-
-
 def scheduling_digest(seed: int = 20990131) -> str:
     """Digest of every CPU slice of a seeded mixed run."""
-    with _fresh_id_counters():
-        return _scheduling_digest_inner(seed)
-
-
-def _scheduling_digest_inner(seed: int) -> str:
     host = Host(mode=SystemMode.RC, seed=seed)
     host.kernel.fs.add_file("/index.html", 1024)
     host.kernel.fs.warm("/index.html")
@@ -130,4 +83,7 @@ def _scheduling_digest_inner(seed: int) -> str:
 
 
 def test_seeded_schedule_digest_is_stable():
+    # Twice in one process: ids are per-simulation, so nothing an
+    # earlier run created can shift the second digest.
+    assert scheduling_digest() == EXPECTED_DIGEST
     assert scheduling_digest() == EXPECTED_DIGEST
