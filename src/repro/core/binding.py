@@ -17,7 +17,7 @@ the application can explicitly reset the set to just the current binding.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.container import ResourceContainer
 
@@ -143,10 +143,23 @@ class BindingManager:
     Destruction of newly unreferenced containers is delegated to the
     :class:`~repro.core.operations.ContainerManager` via a callback so
     this module stays free of lifecycle policy.
+
+    Also owns the *watch set* of the periodic pruning pass: the threads
+    whose scheduler binding may hold more than their current resource
+    binding.  In the kernel a member joins a thread's scheduler binding
+    only through :meth:`bind_thread` (``reset_to`` only shrinks it), and
+    a thread's current container cannot die while the thread holds its
+    reference.  So a binding that held only that container at one pass
+    still does at the next unless :meth:`bind_thread` rebound the thread
+    in between, and that call watches the thread if its binding then
+    holds more.  The pass therefore visits only watched threads and
+    prunes them exactly as a scan of every thread would.
     """
 
     def __init__(self, on_unreferenced) -> None:
         self._on_unreferenced = on_unreferenced
+        #: Threads the next pruning pass must visit (a dict used as a set).
+        self._watched: dict["Thread", None] = {}
 
     def bind_thread(
         self, thread: "Thread", container: ResourceContainer, now: float
@@ -158,33 +171,51 @@ class BindingManager:
         tests can exercise the raw mechanism.
         """
         old = thread.resource_binding
+        binding = thread.scheduler_binding
         if old is container:
-            thread.scheduler_binding.observe(container, now)
+            binding.observe(container, now)
             return old
         container.ref_thread_binding()
         thread.resource_binding = container
-        thread.scheduler_binding.observe(container, now)
+        binding.observe(container, now)
+        if not binding.holds_only(container):
+            self._watched[thread] = None
         if old is not None and old.unref_thread_binding():
             self._on_unreferenced(old)
         return old
 
     def unbind_thread(self, thread: "Thread") -> None:
         """Drop the thread's binding entirely (thread exit)."""
+        self._watched.pop(thread, None)
         old = thread.resource_binding
         thread.resource_binding = None
         if old is not None and old.unref_thread_binding():
             self._on_unreferenced(old)
 
-    def prune_all(
-        self,
-        threads: Iterable["Thread"],
-        now: float,
-        max_age_us: float = DEFAULT_PRUNE_AGE_US,
-    ) -> int:
-        """Periodic kernel pruning pass over every thread."""
-        return sum(
-            thread.scheduler_binding.prune(
-                now, max_age_us, keep=thread.resource_binding
-            )
-            for thread in threads
-        )
+    def prune_watched(
+        self, now: float, max_age_us: float = DEFAULT_PRUNE_AGE_US
+    ) -> None:
+        """Periodic kernel pruning pass (paper section 4.3).
+
+        Visits the watched threads in (pid, tid) order -- the order of a
+        scan over every process's threads, which matters because each
+        prune's ``on_change`` re-places the thread in the scheduler --
+        and prunes each binding that holds more than the thread's live
+        current container.  A thread leaves the watch set once its
+        binding holds only that container.
+        """
+        watched = self._watched
+        if not watched:
+            return
+        for thread in sorted(watched, key=_prune_order):
+            binding = thread.scheduler_binding
+            keep = thread.resource_binding
+            if not binding.holds_only(keep):
+                binding.prune(now, max_age_us, keep=keep)
+                if not binding.holds_only(keep):
+                    continue
+            del watched[thread]
+
+
+def _prune_order(thread: "Thread") -> tuple[int, int]:
+    return thread.process.pid, thread.tid

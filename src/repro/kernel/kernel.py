@@ -262,18 +262,9 @@ class Kernel:
         self.sim.after(self.config.window_us, self._window_tick)
 
     def _prune_tick(self) -> None:
-        now = self.sim.now
-        max_age_us = self.config.prune_age_us
-        done = ThreadState.DONE
-        for process in self.processes.values():
-            for thread in process.threads:
-                if thread.state is done:
-                    continue
-                binding = thread.scheduler_binding
-                keep = thread.resource_binding
-                if binding.holds_only(keep):
-                    continue  # prune could remove nothing here
-                binding.prune(now, max_age_us, keep=keep)
+        self.containers.bindings.prune_watched(
+            self.sim.now, self.config.prune_age_us
+        )
         self.sim.after(self.config.prune_interval_us, self._prune_tick)
 
     # ------------------------------------------------------------------
@@ -544,7 +535,7 @@ class Kernel:
             job = InterruptJob(
                 cost_us=(self.costs.interrupt_per_packet + self.costs.early_demux)
                 * count,
-                action=lambda ps=packets: [self._early_demux(p) for p in ps],
+                action=lambda ps=packets: self._early_demux_batch(ps),
                 charge=None,
                 note="hardintr+demux-batch",
             )
@@ -604,6 +595,11 @@ class Kernel:
             client=getattr(payload, "client_name", None),
         )
 
+    def _early_demux_batch(self, packets: list[Packet]) -> None:
+        early_demux = self._early_demux
+        for packet in packets:
+            early_demux(packet)
+
     def _early_demux(self, packet: Packet) -> None:
         """LRP/RC: find the destination and queue for scheduled
         processing; discard unmatched or overflowing traffic early."""
@@ -644,17 +640,28 @@ class Kernel:
             )
         cost = protocol_cost(self, packet)
         if not net_thread.enqueue(container, packet, cost, queue_key=queue_key):
-            self._note_input_drop(packet)
+            # A SYN's endpoint is the listener it demultiplexed to.
+            self._note_input_drop(packet, endpoint)
             free_packet(packet)
             return
         # The only way a net thread becomes runnable: tell the scheduler.
         self.scheduler.on_wakeup(net_thread, self.sim.now)
         self.cpu.notify_ready(net_thread)
 
-    def _note_input_drop(self, packet: Packet) -> None:
-        """Bookkeeping for packets dropped before protocol processing."""
+    def _note_input_drop(
+        self, packet: Packet, socket: Optional[ListenSocket] = None
+    ) -> None:
+        """Bookkeeping for packets dropped before protocol processing.
+
+        ``socket`` is the listener a dropped SYN already demultiplexed
+        to, if the caller has it; otherwise the SYN is demultiplexed
+        here.
+        """
         if packet.kind is PacketKind.SYN:
-            socket = self.stack.demux_listener(packet.dst_port, packet.src_addr)
+            if socket is None:
+                socket = self.stack.demux_listener(
+                    packet.dst_port, packet.src_addr
+                )
             if socket is not None:
                 socket.stats_syns_dropped += 1
                 self.note_syn_drop(socket, packet.src_addr)

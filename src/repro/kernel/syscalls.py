@@ -449,6 +449,12 @@ class SyscallExecutor:
         socket: ListenSocket = entry.obj
         if op.port <= 0:
             raise InvalidArgumentError(f"bad port: {op.port}")
+        if socket.port > 0:
+            # POSIX: a socket binds once.  Rebinding would also move a
+            # listener's port and filter under the demultiplexer.
+            raise InvalidArgumentError(
+                f"socket already bound to port {socket.port}"
+            )
         if self.kernel.stack.binding_conflicts(socket, op.port, op.addr_filter):
             raise AddressInUseError(
                 f"port {op.port} with filter {op.addr_filter} already bound"

@@ -171,11 +171,17 @@ class KernelNetThread:
         return self._head[1]
 
     def scheduler_containers(self) -> list[ResourceContainer]:
+        """Live containers with packets waiting behind the head.
+
+        A destroyed container's stranded packets lend it no priority;
+        they are discarded at the next head selection.
+        """
         seen: dict[int, ResourceContainer] = {}
         for key, queue in self._queues.items():
             if queue:
                 container = self._containers[key]
-                seen[container.cid] = container
+                if container.alive:
+                    seen[container.cid] = container
         return list(seen.values())
 
     # ------------------------------------------------------------------

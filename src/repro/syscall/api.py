@@ -71,7 +71,8 @@ class Bind(Syscall):
     ``addr_filter`` is the paper's new ``sockaddr`` namespace: a
     (template address, CIDR mask) restricting which clients this socket
     accepts.  Several sockets may share a port with different filters;
-    the most specific match wins (section 4.8).
+    the most specific match wins (section 4.8).  A socket binds once:
+    binding it again raises ``InvalidArgumentError`` (EINVAL).
     """
 
     fd: int

@@ -159,6 +159,36 @@ def test_bind_same_port_different_filters_ok(host):
     assert run_program(host, program)["value"] == "ok"
 
 
+def test_second_bind_is_rejected(host):
+    """POSIX: bind() on a bound socket fails with EINVAL, listening or
+    not, and leaves the first binding and its demultiplexing intact."""
+    from repro.net.filters import AddrFilter
+    from repro.net.packet import ip_addr
+
+    def program():
+        fd = yield api.Socket()
+        yield api.Bind(fd, 80)
+        outcomes = []
+        for listening in (False, True):
+            if listening:
+                yield api.Listen(fd)
+            try:
+                yield api.Bind(fd, 81, AddrFilter(ip_addr(10, 0, 0, 0), 8))
+            except Exception as err:
+                outcomes.append(type(err).__name__)
+        # Inspect the stack while the process still holds the socket.
+        stack = host.kernel.stack
+        (socket,) = stack.listeners
+        outcomes.append((socket.port, socket.addr_filter))
+        outcomes.append(stack.demux_listener(80, ip_addr(10, 0, 0, 1)) is socket)
+        outcomes.append(stack.demux_listener(81, ip_addr(10, 0, 0, 1)))
+        return outcomes
+
+    assert run_program(host, program)["value"] == [
+        "InvalidArgumentError", "InvalidArgumentError", (80, None), True, None,
+    ]
+
+
 def test_accept_nonblocking_would_block(host):
     def program():
         fd = yield api.Socket()

@@ -112,6 +112,24 @@ def test_scheduler_containers_lists_pending(setup):
     assert net_thread.pending_packets() == 2
 
 
+def test_destroyed_container_lends_no_priority(setup):
+    """Stranded packets of a destroyed container must not raise the
+    net thread's priority while it finishes a lower-priority packet."""
+    host, _process, net_thread = setup
+    manager = host.kernel.containers
+    low = manager.create("low", attrs=timeshare_attrs(priority=1))
+    high = manager.create("high", attrs=timeshare_attrs(priority=9))
+    net_thread.enqueue(low, packet(0), 10.0)
+    net_thread.advance(5.0)  # the priority-1 head is being processed
+    net_thread.enqueue(high, packet(1), 10.0)
+    assert net_thread.scheduler_containers() == [high]
+    manager.release(high)
+    assert net_thread.scheduler_containers() == []
+    assert net_thread.charge_container() is low
+    priority = host.kernel.scheduler._combined_priority(net_thread, low)
+    assert priority == 1
+
+
 def test_protocol_cost_per_kind():
     host = Host(mode=SystemMode.RC, seed=13)
     costs = host.kernel.costs
@@ -123,3 +141,4 @@ def test_protocol_cost_per_kind():
         protocol_cost(kernel, Packet(1, PacketKind.HANDSHAKE_ACK, 1))
         == costs.proto_established
     )
+
