@@ -34,19 +34,14 @@ way and reports per-host summaries.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.container import ContainerState, ResourceContainer
+from repro.sim.engine import SANITIZE_ENV, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-
-#: Environment switch: any value other than empty/"0" enables sanitizing
-#: for every Kernel constructed in the process (and, because it is an
-#: env var, in sweep worker processes too).
-SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: Absolute slop per comparison; scaled by magnitude where totals grow.
 EPS = 1e-6
@@ -86,8 +81,10 @@ _INSTALLED: list["ChargingSanitizer"] = []
 
 
 def env_enabled() -> bool:
-    """True when ``REPRO_SANITIZE`` asks for sanitized kernels."""
-    return os.environ.get(SANITIZE_ENV, "") not in ("", "0")
+    """True when ``REPRO_SANITIZE`` asks for sanitized kernels (read by
+    :func:`repro.sim.engine.env_flag`, which rejects values other than
+    ``""``, ``"0"`` and ``"1"``)."""
+    return env_flag(SANITIZE_ENV)
 
 
 def installed() -> list["ChargingSanitizer"]:

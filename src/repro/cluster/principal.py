@@ -194,14 +194,12 @@ class ClusterPrincipals:
         self.push_member_caps = push_member_caps
         self.principals: list[GlobalContainer] = []
         self.windows_rolled = 0
-        # Opt-in cross-host conservation checking, same pattern as the
-        # per-kernel ChargingSanitizer: Simulation(sanitize=True) or the
-        # REPRO_SANITIZE env var.  Local import: analysis is optional
-        # instrumentation, not a cluster dependency.
+        # Opt-in cross-host conservation checking, same switch as the
+        # per-kernel ChargingSanitizer (Simulation.sanitize, resolved
+        # from the argument or REPRO_SANITIZE).  Local import: analysis
+        # is optional instrumentation, not a cluster dependency.
         self.checker = None
-        from repro.analysis import sanitizer as _sanitizer
-
-        if getattr(cluster.sim, "sanitize", False) or _sanitizer.env_enabled():
+        if cluster.sim.sanitize:
             from repro.analysis.cluster_conservation import (
                 ClusterConservationChecker,
             )

@@ -14,32 +14,13 @@ everything (used by ``examples`` and the EXPERIMENTS.md refresh).
 | fig_disk_isolation      | Disk-bandwidth isolation (FIFO vs. WFQ)     |
 | virtual_servers         | Section 5.8: guest-server isolation         |
 | ablations               | DESIGN.md's design-choice ablations         |
+
+Importing this package loads no harness: ``from repro.experiments
+import fig11_priority`` is a plain submodule import, so a run pays only
+for the harnesses it uses, and ``run_all()`` imports the ones it runs.
 """
 
-from repro.experiments import (
-    ablations,
-    baseline,
-    fig11_priority,
-    fig12_cgi,
-    fig14_synflood,
-    fig_disk_isolation,
-    sweep,
-    table1_primitives,
-    virtual_servers,
-)
-
-__all__ = [
-    "ablations",
-    "baseline",
-    "fig11_priority",
-    "fig12_cgi",
-    "fig14_synflood",
-    "fig_disk_isolation",
-    "run_all",
-    "sweep",
-    "table1_primitives",
-    "virtual_servers",
-]
+__all__ = ["run_all"]
 
 
 def run_all(fast: bool = True, jobs: int = 1, cache: bool = True) -> dict:
@@ -49,6 +30,16 @@ def run_all(fast: bool = True, jobs: int = 1, cache: bool = True) -> dict:
     to ``jobs`` worker processes and finished points are served from the
     content-addressed cache.
     """
+    from repro.experiments import (
+        baseline,
+        fig11_priority,
+        fig12_cgi,
+        fig14_synflood,
+        fig_disk_isolation,
+        table1_primitives,
+        virtual_servers,
+    )
+
     return {
         "table1": table1_primitives.run(),
         "baseline": baseline.run(fast=fast, jobs=jobs, cache=cache),

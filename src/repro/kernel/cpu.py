@@ -76,9 +76,15 @@ class _RunSlice:
 
     Instances are drawn from a free list (see ``CPU._alloc_slice``) and
     recycled when the slice finishes or is preempted: holding one past
-    the completion of its slice is not supported.  ``event_seq`` is the
-    generation guard for cancelling ``event`` -- the engine recycles
-    event objects, so a bare handle could alias a newer timer.
+    the completion of its slice is not supported.  ``event_seq`` is
+    ``event.seq`` as recorded when the slice was filled, and
+    ``_preempt_entity`` passes it to ``Simulation.cancel`` as its guard.
+    Events are never recycled (:mod:`repro.sim.events`), so the guard
+    cannot trip while ``_alloc_slice`` assigns the pair together; it is
+    there for the slice record, which *is* recycled: a record whose
+    ``event`` were replaced without its ``event_seq`` would have its
+    cancel ignored and counted in ``EventQueue.stale_cancels`` rather
+    than cancel a timer it does not own.
     """
 
     kind: str = ""  # "hard", "soft", or "entity"

@@ -171,28 +171,25 @@ class Kernel:
         self.stats_early_drops = 0
         self.stats_softirq_drops = 0
         self._syn_notify_last: dict[tuple[int, int], float] = {}
-        # Opt-in conservation checking: Simulation(sanitize=True) or the
-        # REPRO_SANITIZE env var (the latter reaches kernels built deep
-        # inside experiment point runners and sweep workers).  Local
-        # import: the analysis layer is optional instrumentation, not a
-        # kernel dependency.
+        # Opt-in conservation checking and observability: the
+        # Simulation resolved both switches (argument or env var) once.
+        # Local imports: the analysis and obs layers are optional
+        # instrumentation, not kernel dependencies, and a run that
+        # leaves them off never loads them.
         self.sanitizer = None
-        from repro.analysis import sanitizer as _sanitizer
+        if sim.sanitize:
+            from repro.analysis.sanitizer import ChargingSanitizer
 
-        if getattr(sim, "sanitize", False) or _sanitizer.env_enabled():
-            self.sanitizer = _sanitizer.ChargingSanitizer(self).install()
+            self.sanitizer = ChargingSanitizer(self).install()
         # Give the scheduler the trace bus so policy charges can be
         # observed; the bus stays inactive unless something subscribes.
         self.scheduler.trace = sim.trace
-        # Opt-in observability: Simulation(observe=True) or REPRO_TRACE.
-        # Same local-import/env pattern as the sanitizer above.
-        self.observability = getattr(sim, "observability", None)
-        if self.observability is None:
-            from repro.obs import observe as _observe
+        self.observability = sim.observability
+        if self.observability is None and sim.observe:
+            from repro.obs.observe import Observability
 
-            if getattr(sim, "observe", False) or _observe.env_enabled():
-                self.observability = _observe.Observability(sim)
-                sim.observability = self.observability
+            self.observability = Observability(sim)
+            sim.observability = self.observability
         if self.observability is not None:
             self._register_obs_sampler(self.observability)
         self._start_timers()

@@ -35,14 +35,11 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import OverloadWatchdog, default_rules
 from repro.obs.spans import RequestTracer
 from repro.obs.timeseries import TimeSeriesPipeline
+from repro.sim.engine import TRACE_ENV, env_flag
 from repro.sim.tracing import TraceBus, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
-
-#: Environment switch: any value other than empty/"0" attaches an
-#: Observability to every Simulation constructed in the process.
-TRACE_ENV = "REPRO_TRACE"
 
 #: Default export directory for the trace CLI (overridable per-run with
 #: ``--trace-out``).
@@ -60,8 +57,10 @@ _INSTALLED: list = []
 
 
 def env_enabled() -> bool:
-    """True when ``REPRO_TRACE`` asks for observed simulations."""
-    return os.environ.get(TRACE_ENV, "") not in ("", "0")
+    """True when ``REPRO_TRACE`` asks for observed simulations (read by
+    :func:`repro.sim.engine.env_flag`, which rejects values other than
+    ``""``, ``"0"`` and ``"1"``)."""
+    return env_flag(TRACE_ENV)
 
 
 def default_outdir() -> str:

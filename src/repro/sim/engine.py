@@ -18,12 +18,37 @@ and the per-event loop itself lives in :meth:`EventQueue.dispatch_batch`.
 from __future__ import annotations
 
 import itertools
+import os
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import SeededRng
 from repro.sim.tracing import TraceBus
+
+#: Environment switch for the charging sanitizer.  Because it is an env
+#: var it reaches simulations built deep inside experiment point runners
+#: and sweep worker processes.
+SANITIZE_ENV = "REPRO_SANITIZE"
+
+#: Environment switch for observability; reaches the same places.
+TRACE_ENV = "REPRO_TRACE"
+
+
+def env_flag(name: str) -> bool:
+    """Read an on/off switch from the environment.
+
+    Unset, ``""`` and ``"0"`` mean off and ``"1"`` means on.  Any other
+    value raises :class:`ValueError` naming the variable, so a typo
+    such as ``REPRO_SANITIZE=false`` cannot silently turn a check on
+    (or, read the other way, off).
+    """
+    raw = os.environ.get(name, "")
+    if raw in ("", "0"):
+        return False
+    if raw == "1":
+        return True
+    raise ValueError(f"{name} must be unset, '', '0' or '1'; got {raw!r}")
 
 
 class Simulation:
@@ -34,14 +59,19 @@ class Simulation:
         trace: optionally share a pre-built trace bus.
         sanitize: ask kernels built on this simulation to install the
             charging-conservation sanitizer
-            (:mod:`repro.analysis.sanitizer`).  Purely observational --
-            a sanitized run is byte-identical to an unsanitized one.
-            The ``REPRO_SANITIZE`` environment variable enables it
-            globally (kernels check both).
+            (:mod:`repro.analysis.sanitizer`), and a cluster built on it
+            to install its cross-host conservation checker.  Purely
+            observational -- a sanitized run is byte-identical to an
+            unsanitized one.  ``REPRO_SANITIZE=1`` enables it globally.
         observe: ask kernels built on this simulation to attach an
             :class:`repro.obs.Observability` (metrics registry, request
-            tracer, profiler).  Also observational; ``REPRO_TRACE``
-            enables it globally (kernels check both).
+            tracer, profiler).  Also observational; ``REPRO_TRACE=1``
+            enables it globally.
+
+    Both switches are resolved here, once, into :attr:`sanitize` and
+    :attr:`observe` (argument or environment, see :func:`env_flag`);
+    kernels and clusters read only those attributes, and import
+    :mod:`repro.analysis` or :mod:`repro.obs` only when one is on.
     """
 
     def __init__(
@@ -55,8 +85,8 @@ class Simulation:
         self.queue = EventQueue()
         self.rng = SeededRng(seed)
         self.trace = trace if trace is not None else TraceBus()
-        self.sanitize = bool(sanitize)
-        self.observe = bool(observe)
+        self.sanitize = env_flag(SANITIZE_ENV) or bool(sanitize)
+        self.observe = env_flag(TRACE_ENV) or bool(observe)
         #: Attached Observability (set by the kernel when observing).
         self.observability = None
         #: Callbacks run whenever the dispatch loop exits, before run()

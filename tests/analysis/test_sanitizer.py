@@ -73,6 +73,35 @@ def test_env_var_zero_means_off(monkeypatch):
     assert Host().kernel.sanitizer is None
 
 
+def test_env_var_empty_means_off(monkeypatch):
+    monkeypatch.setenv(sanitizer.SANITIZE_ENV, "")
+    assert not sanitizer.env_enabled()
+    assert Host().kernel.sanitizer is None
+
+
+@pytest.mark.parametrize("value", ["false", "no", "off", "true", "2", " 1"])
+def test_env_var_other_values_fail_loudly(monkeypatch, value):
+    # Only "", "0" and "1" are valid: "false" used to turn the
+    # sanitizer on, since every value but ""/"0" counted as on.
+    monkeypatch.setenv(sanitizer.SANITIZE_ENV, value)
+    with pytest.raises(ValueError, match="REPRO_SANITIZE"):
+        sanitizer.env_enabled()
+    with pytest.raises(ValueError, match="REPRO_SANITIZE"):
+        Host()
+
+
+@pytest.mark.parametrize("value", ["no", "false", "yes"])
+def test_trace_env_var_other_values_fail_loudly(monkeypatch, value):
+    # The observability switch shares the one resolver.
+    from repro.obs import observe
+
+    monkeypatch.setenv(observe.TRACE_ENV, value)
+    with pytest.raises(ValueError, match="REPRO_TRACE"):
+        observe.env_enabled()
+    with pytest.raises(ValueError, match="REPRO_TRACE"):
+        Host()
+
+
 def test_drain_installed_empties_registry():
     Host(sanitize=True)
     Host(sanitize=True)
