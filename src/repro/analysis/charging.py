@@ -23,11 +23,11 @@ Two rules, from coarse to fine:
   whole-subtree "can sink" semantics inside loops/``try``/``with`` so a
   charge inside an ancestor-walk loop counts.
 
-The primitive registry also records which runtime sanitizer check
-reconciles the same dimension (``sanitizer_check``); a cross-check test
-asserts static and dynamic checkers agree on the charging surface.  A
-primitive with ``sanitizer_check=None`` is a dimension the sanitizer
-does not yet reconcile -- it must either charge statically or carry a
+Each primitive names the resource dimension it consumes, one of those
+declared in :mod:`repro.kernel.accounting`.  A primitive is metered at
+runtime when the sanitizer's ``DIMENSION_CHECKS`` entry for its
+dimension is non-empty; one whose dimension has no runtime checks (no
+ledger field, as for ``fd``) must either charge statically or carry a
 reasoned baseline entry.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.graph import (
     FunctionInfo,
@@ -43,6 +43,7 @@ from repro.analysis.graph import (
     Violation,
     call_name,
 )
+from repro.kernel.accounting import check_dimension
 
 #: Call names that book consumption into a ledger or declared sink.
 SINK_CALLS = frozenset(
@@ -76,65 +77,59 @@ class ConsumingPrimitive:
 
     rel: str
     qualname: str
-    dimension: str  # cpu | disk | memory | net | fd
+    #: A dimension declared in :data:`repro.kernel.accounting.DIMENSIONS`.
+    dimension: str
     description: str
-    #: The runtime sanitizer check id that reconciles this dimension,
-    #: or None when the sanitizer has no dynamic counterpart yet.
-    sanitizer_check: Optional[str]
+
+    def __post_init__(self) -> None:
+        check_dimension(self.dimension)
 
 
 #: The charging surface of the tree.  Adding a consuming subsystem
-#: means adding a row here -- the cross-check test then forces either a
-#: sanitizer check or a reasoned baseline entry for it.
+#: means adding a row here -- the cross-check test then forces either
+#: runtime checks for its dimension or a reasoned baseline entry.
 PRIMITIVES: tuple = (
     ConsumingPrimitive(
         rel="kernel/cpu.py",
         qualname="CPU._account",
         dimension="cpu",
         description="per-slice CPU time booking (sim-time advancement)",
-        sanitizer_check="busy-split",
     ),
     ConsumingPrimitive(
         rel="io/device.py",
         qualname="DiskDevice._complete",
         dimension="disk",
         description="disk service completion",
-        sanitizer_check="disk-busy-split",
     ),
     ConsumingPrimitive(
         rel="mem/physmem.py",
         qualname="MemoryAccountant.try_charge",
         dimension="memory",
         description="physical-memory admission",
-        sanitizer_check="ledger-integrity",
     ),
     ConsumingPrimitive(
         rel="fs/filesystem.py",
         qualname="BufferCache.insert",
         dimension="memory",
         description="buffer-cache residency",
-        sanitizer_check="ledger-integrity",
     ),
     ConsumingPrimitive(
         rel="net/tcp.py",
         qualname="TcpStack._input_data",
         dimension="net",
         description="inbound payload admission into socket buffers",
-        sanitizer_check="ledger-integrity",
     ),
     ConsumingPrimitive(
         rel="net/tcp.py",
         qualname="TcpStack.transmit_response",
         dimension="net",
         description="outbound byte transmission",
-        sanitizer_check="ledger-integrity",
     ),
     ConsumingPrimitive(
         rel="kernel/descriptors.py",
         qualname="DescriptorTable.allocate",
         dimension="fd",
         description="descriptor-slot residency",
-        sanitizer_check=None,
     ),
 )
 

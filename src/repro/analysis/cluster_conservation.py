@@ -12,8 +12,9 @@ checker re-derives the totals the slow way after every aggregation:
     + the final snapshots of members that have been destroyed
     == the incrementally-built cluster ledger
 
-per counter (CPU, network CPU, disk service, transmitted bytes), per
-global container, per window.  It also re-checks monotonicity (a
+per cumulative ledger field (``CUMULATIVE_FIELDS``: CPU and its
+subsets, disk service and bytes, packet, byte and connection counts),
+per global container, per window.  It also re-checks monotonicity (a
 cluster ledger can never shrink) and that the window CPU the throttle
 decision used matches the delta the ledger actually absorbed.
 
@@ -29,19 +30,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.sanitizer import Violation, _INSTALLED, _tol
+from repro.kernel.accounting import CUMULATIVE_FIELDS, ResourceUsage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.principal import ClusterPrincipals
-
-#: The counters reconciled each window, as (label, ledger attribute,
-#: member-snapshot tuple index) rows -- the same order
-#: ``GlobalContainer.roll`` snapshots them in.
-_COUNTERS = (
-    ("cpu_us", "cpu_us", 0),
-    ("cpu_network_us", "cpu_network_us", 1),
-    ("disk_us", "disk_us", 2),
-    ("net_tx_bytes", "net_tx_bytes", 3),
-)
 
 
 class ClusterConservationChecker:
@@ -61,9 +53,9 @@ class ClusterConservationChecker:
         self.slices_checked = 0
         self.windows_checked = 0
         self.finished = False
-        #: Previous window's ledger totals per principal id, for the
+        #: Previous window's ledger snapshot per principal id, for the
         #: monotonicity check.
-        self._previous: dict[int, tuple] = {}
+        self._previous: dict[int, ResourceUsage] = {}
 
     def install(self) -> "ClusterConservationChecker":
         """Register with the process-wide sanitizer list."""
@@ -87,7 +79,7 @@ class ClusterConservationChecker:
         # Independent recomputation: walk the members and read their
         # live cumulative ledgers directly (plus the carryover of
         # vanished members), never the principal's snapshots.
-        totals = [0.0, 0.0, 0.0, 0]
+        expected = ResourceUsage()
         live_members = 0
         for host_name, container_name in principal.members:
             kernel = kernels.get(host_name)
@@ -104,47 +96,40 @@ class ClusterConservationChecker:
             if member is None:
                 continue
             live_members += 1
-            usage = member.usage
-            totals[0] += usage.cpu_us
-            totals[1] += usage.cpu_network_us
-            totals[2] += usage.disk_us
-            totals[3] += usage.net_tx_bytes
-        carry = principal.carryover
-        totals[0] += carry.cpu_us
-        totals[1] += carry.cpu_network_us
-        totals[2] += carry.disk_us
-        totals[3] += carry.net_tx_bytes
+            expected = expected + member.usage
+        expected = expected + principal.carryover
         ledger = principal.ledger
-        for label, attr, index in _COUNTERS:
-            expected = totals[index]
-            recorded = getattr(ledger, attr)
-            if abs(recorded - expected) > _tol(expected):
+        for name in CUMULATIVE_FIELDS:
+            total = getattr(expected, name)
+            recorded = getattr(ledger, name)
+            if abs(recorded - total) > _tol(total):
                 self._violate(
                     now,
                     "cluster-ledger-conservation",
-                    f"{label}: cluster ledger {recorded} != "
-                    f"sum of member ledgers {expected}",
+                    f"{name}: cluster ledger {recorded} != "
+                    f"sum of member ledgers {total}",
                     (
                         ("tenant", principal.name),
-                        ("counter", label),
+                        ("counter", name),
                         ("members", live_members),
                     ),
                 )
         previous = self._previous.get(id(principal))
-        current = tuple(getattr(ledger, attr) for _l, attr, _i in _COUNTERS)
         if previous is not None:
-            for (label, _attr, index) in _COUNTERS:
-                if current[index] < previous[index] - _tol(previous[index]):
+            for name in CUMULATIVE_FIELDS:
+                before = getattr(previous, name)
+                after = getattr(ledger, name)
+                if after < before - _tol(before):
                     self._violate(
                         now,
                         "cluster-ledger-monotone",
-                        f"{label}: cluster ledger shrank from "
-                        f"{previous[index]} to {current[index]}",
-                        (("tenant", principal.name), ("counter", label)),
+                        f"{name}: cluster ledger shrank from "
+                        f"{before} to {after}",
+                        (("tenant", principal.name), ("counter", name)),
                     )
             # The throttle decision must be based on exactly the CPU the
             # ledger absorbed this window.
-            delta_cpu_us = current[0] - previous[0]
+            delta_cpu_us = ledger.cpu_us - previous.cpu_us
             if abs(delta_cpu_us - principal.window_cpu_us) > _tol(
                 delta_cpu_us
             ):
@@ -155,7 +140,7 @@ class ClusterConservationChecker:
                     f"delta {delta_cpu_us}",
                     (("tenant", principal.name),),
                 )
-        self._previous[id(principal)] = current
+        self._previous[id(principal)] = ledger.snapshot()
 
     def _violate(
         self, now: float, check: str, message: str, context: tuple

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.container import ContainerState, ResourceContainer
+from repro.kernel.accounting import DIMENSIONS, check_dimension
 from repro.sim.engine import SANITIZE_ENV, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,16 +50,9 @@ EPS = 1e-6
 #: Full-ledger sweeps are O(live containers); run one every N slices.
 SWEEP_EVERY = 512
 
-#: Resource dimension -> the check ids that reconcile it at runtime.
-#: This is the dynamic half of the charging surface: the static CHG2xx
-#: pass registers consuming primitives with a ``sanitizer_check``, and
-#: a cross-check test asserts each named check appears here under the
-#: primitive's dimension -- so the static analyzer and the runtime
-#: sanitizer can never silently disagree about what is covered.
-#: ``ledger-integrity`` covers the memory and net dimensions because it
-#: sweeps ResourceUsage.validate() over every live container, which
-#: checks memory_bytes/memory_peak_bytes/net_tx_bytes/packet counters.
-DIMENSION_CHECKS: dict = {
+#: The checks that reconcile a dimension's flow at runtime, beyond the
+#: ledger sweep.  Keys must be declared dimensions.
+_RECONCILERS = {
     "cpu": (
         "busy-split",
         "core-busy-split",
@@ -70,8 +64,20 @@ DIMENSION_CHECKS: dict = {
         "disk-busy-split",
         "disk-ledger-conservation",
     ),
-    "memory": ("ledger-integrity",),
-    "net": ("ledger-integrity",),
+}
+for _dimension in _RECONCILERS:
+    check_dimension(_dimension)
+
+#: Resource dimension -> the check ids that reconcile it at runtime.
+#: This is the dynamic half of the charging surface: a CHG2xx consuming
+#: primitive counts as metered when its dimension's entry is non-empty.
+#: ``ledger-integrity`` (the ResourceUsage.validate() sweep over every
+#: live container) covers every dimension that has ledger fields; a
+#: dimension with none (``fd``) is unmetered.
+DIMENSION_CHECKS: dict = {
+    dimension: _RECONCILERS.get(dimension, ())
+    + (("ledger-integrity",) if names else ())
+    for dimension, names in DIMENSIONS.items()
 }
 
 #: Sanitizers installed in this process, in construction order.  The

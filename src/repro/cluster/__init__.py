@@ -19,18 +19,13 @@ from repro.cluster.balancer import (
 )
 from repro.cluster.fabric import Fabric, FabricLink
 from repro.cluster.host import Cluster, ClusterHost
-from repro.cluster.principal import (
-    ClusterPrincipals,
-    ClusterUsage,
-    GlobalContainer,
-)
+from repro.cluster.principal import ClusterPrincipals, GlobalContainer
 
 __all__ = [
     "BackendChannel",
     "Cluster",
     "ClusterHost",
     "ClusterPrincipals",
-    "ClusterUsage",
     "Fabric",
     "FabricLink",
     "GlobalContainer",

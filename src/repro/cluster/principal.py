@@ -32,40 +32,24 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
+from repro.kernel.accounting import CUMULATIVE_FIELDS, ResourceUsage
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.host import Cluster
     from repro.kernel.kernel import Kernel
 
 
-class ClusterUsage:
-    """The counters a cluster ledger aggregates across member hosts."""
+#: The baseline of a member's first roll (never mutated).
+_ZERO = ResourceUsage()
 
-    __slots__ = ("cpu_us", "cpu_network_us", "disk_us", "net_tx_bytes")
 
-    def __init__(self) -> None:
-        self.cpu_us = 0.0
-        self.cpu_network_us = 0.0
-        self.disk_us = 0.0
-        self.net_tx_bytes = 0
-
-    def add(
-        self,
-        cpu_us: float,
-        cpu_network_us: float,
-        disk_us: float,
-        net_tx_bytes: int,
-    ) -> None:
-        self.cpu_us += cpu_us
-        self.cpu_network_us += cpu_network_us
-        self.disk_us += disk_us
-        self.net_tx_bytes += net_tx_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ClusterUsage(cpu={self.cpu_us:.1f}us, "
-            f"net_cpu={self.cpu_network_us:.1f}us, "
-            f"disk={self.disk_us:.1f}us, tx={self.net_tx_bytes}B)"
-        )
+def _fold(into: ResourceUsage, current: ResourceUsage,
+          base: ResourceUsage) -> None:
+    """Add ``current - base`` to ``into``, cumulative fields only."""
+    for name in CUMULATIVE_FIELDS:
+        setattr(into, name,
+                getattr(into, name) + (getattr(current, name)
+                                       - getattr(base, name)))
 
 
 class GlobalContainer:
@@ -85,13 +69,14 @@ class GlobalContainer:
         self.global_cpu_limit = global_cpu_limit
         #: (host name, container name) members, in registration order.
         self.members: list[tuple] = []
-        #: Incrementally aggregated cluster ledger.
-        self.ledger = ClusterUsage()
+        #: Incrementally aggregated cluster ledger (cumulative fields
+        #: only: a member's levels, such as memory, are not summed).
+        self.ledger = ResourceUsage()
         #: Totals of members that vanished (their final snapshots),
         #: kept so conservation still balances after destruction.
-        self.carryover = ClusterUsage()
-        #: Per-member cumulative-counter snapshot at the last roll.
-        self._last: dict[tuple, tuple] = {}
+        self.carryover = ResourceUsage()
+        #: Per-member ledger snapshot at the last roll.
+        self._last: dict[tuple, ResourceUsage] = {}
         #: CPU the members consumed during the last window.
         self.window_cpu_us = 0.0
         #: Admission gate the balancer consults; set at window rolls.
@@ -121,27 +106,12 @@ class GlobalContainer:
             if member is None:
                 last = self._last.pop(key, None)
                 if last is not None:
-                    self.carryover.add(*last)
+                    _fold(self.carryover, last, _ZERO)
                 continue
-            usage = member.usage
-            current = (
-                usage.cpu_us,
-                usage.cpu_network_us,
-                usage.disk_us,
-                usage.net_tx_bytes,
-            )
-            last = self._last.get(key)
-            if last is None:
-                delta = current
-            else:
-                delta = (
-                    current[0] - last[0],
-                    current[1] - last[1],
-                    current[2] - last[2],
-                    current[3] - last[3],
-                )
-            self.ledger.add(*delta)
-            window_cpu_us += delta[0]
+            current = member.usage.snapshot()
+            last = self._last.get(key, _ZERO)
+            _fold(self.ledger, current, last)
+            window_cpu_us += current.cpu_us - last.cpu_us
             self._last[key] = current
         self.window_cpu_us = window_cpu_us
 

@@ -126,13 +126,6 @@ class SchedulerBinding:
             return 0
         return max(c.attrs.numeric_priority for c in members)
 
-    def combined_window_usage(self) -> float:
-        """Total current-window CPU charged to the member containers."""
-        return sum(c.window_usage_us for c in self.members())
-
-    def combined_weight(self) -> float:
-        """Total time-share weight across member containers."""
-        return sum(c.attrs.timeshare_weight for c in self.members()) or 1.0
 
 
 class BindingManager:

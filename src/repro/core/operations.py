@@ -19,7 +19,7 @@ from repro.core.container import (
     ResourceContainer,
     bump_hierarchy_epoch,
 )
-from repro.core.hierarchy import iter_subtree, subtree_usage
+from repro.core.hierarchy import subtree_usage
 from repro.kernel.accounting import ResourceUsage
 from repro.kernel.errors import ContainerPolicyError
 
@@ -188,10 +188,3 @@ class ContainerManager:
         if recursive:
             return subtree_usage(container)
         return container.usage.snapshot()
-
-    def destroy_subtree_accounting(self) -> None:
-        """Reset window accumulators across the hierarchy (epoch roll)."""
-        for container in iter_subtree(self.root):
-            container.reset_window()
-        if self.root.window_registry:
-            self.root.window_registry = []

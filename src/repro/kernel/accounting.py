@@ -2,46 +2,70 @@
 
 A :class:`ResourceUsage` is the ledger attached to every resource
 principal (in this system: every resource container).  The kernel charges
-CPU time, memory, packet counts, and syscall counts here; the paper's
+CPU time (with its network- and syscall-context subsets), memory, disk
+service, and packet, byte and connection counts here; the paper's
 section 4.1 requires that an application be able to read this information
 back (the ``obtain container resource usage`` primitive in Table 1).
+
+Each ledger field declares its resource dimension and its kind once, in
+the field's metadata.  A *cumulative* field never decreases, so it can
+be differenced across windows and summed across hosts; a *level* field
+(memory residency) moves both ways.  Everything that iterates the
+ledger -- the arithmetic below, cluster ledgers, their conservation
+check, the sanitizer's per-dimension checks and the CHG2xx primitive
+registry -- derives from :data:`DIMENSIONS`, :data:`FIELDS` and
+:data:`CUMULATIVE_FIELDS` rather than naming fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+
+#: Every resource dimension, in report order.  ``fd`` (descriptor slots)
+#: is consumed but has no ledger field yet.
+DIMENSION_NAMES = ("cpu", "memory", "disk", "net", "fd")
+
+CUMULATIVE = "cumulative"
+LEVEL = "level"
+
+
+def _ledger(dimension: str, default, kind: str = CUMULATIVE):
+    """A ledger field tagged with its dimension and kind."""
+    if dimension not in DIMENSION_NAMES:
+        raise ValueError(f"ledger field of unknown dimension {dimension!r}")
+    return field(default=default,
+                 metadata={"dimension": dimension, "kind": kind})
 
 
 @dataclass
 class ResourceUsage:
-    """Cumulative resource consumption charged to one principal.
+    """Resource consumption charged to one principal.
 
-    All values are cumulative since creation; callers that need rates
+    Cumulative values count since creation; callers that need rates
     snapshot the record and difference it.
     """
 
-    cpu_us: float = 0.0
+    cpu_us: float = _ledger("cpu", 0.0)
     #: CPU consumed in kernel network-processing context (a subset of
     #: ``cpu_us``).  Separated so experiments can show where time went.
-    cpu_network_us: float = 0.0
+    cpu_network_us: float = _ledger("cpu", 0.0)
     #: CPU consumed executing syscall-context kernel work (subset).
-    cpu_syscall_us: float = 0.0
-    memory_bytes: int = 0
-    memory_peak_bytes: int = 0
+    cpu_syscall_us: float = _ledger("cpu", 0.0)
+    memory_bytes: int = _ledger("memory", 0, LEVEL)
+    memory_peak_bytes: int = _ledger("memory", 0, LEVEL)
     #: Disk service time consumed by this principal's read requests
     #: (seek + transfer on the simulated device, charged at completion).
-    disk_us: float = 0.0
+    disk_us: float = _ledger("disk", 0.0)
     #: Bytes read from the simulated disk (cache misses only).
-    disk_bytes: int = 0
-    packets_received: int = 0
-    packets_dropped: int = 0
+    disk_bytes: int = _ledger("disk", 0)
+    packets_received: int = _ledger("net", 0)
+    packets_dropped: int = _ledger("net", 0)
     #: Response bytes transmitted on this principal's connections
     #: (charged at segment handoff to the wire, before QoS shaping
     #: delays -- the consumption happens when the kernel commits the
     #: buffer, not when the client hears about it).
-    net_tx_bytes: int = 0
-    syscalls: int = 0
-    connections_accepted: int = 0
+    net_tx_bytes: int = _ledger("net", 0)
+    connections_accepted: int = _ledger("net", 0)
 
     def charge_cpu(self, amount_us: float, *, network: bool = False,
                    syscall: bool = False) -> None:
@@ -89,11 +113,10 @@ class ResourceUsage:
         stock as well as the flow.
         """
         problems = []
-        for name in ("cpu_us", "cpu_network_us", "cpu_syscall_us", "disk_us"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} is negative ({getattr(self, name)})")
-        if self.memory_bytes < 0:
-            problems.append(f"memory_bytes is negative ({self.memory_bytes})")
+        for name in FIELDS:
+            value = getattr(self, name)
+            if value < 0:
+                problems.append(f"{name} is negative ({value})")
         if self.memory_peak_bytes < self.memory_bytes:
             problems.append(
                 f"memory_peak_bytes ({self.memory_peak_bytes}) below "
@@ -106,45 +129,45 @@ class ResourceUsage:
                 f"sub-ledgers exceed total: network+syscall={subset} "
                 f"> cpu_us={self.cpu_us}"
             )
-        for name in ("disk_bytes", "packets_received", "packets_dropped",
-                     "net_tx_bytes", "syscalls", "connections_accepted"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} is negative ({getattr(self, name)})")
         return problems
 
     def snapshot(self) -> "ResourceUsage":
         """An independent copy of the current ledger."""
-        return ResourceUsage(
-            cpu_us=self.cpu_us,
-            cpu_network_us=self.cpu_network_us,
-            cpu_syscall_us=self.cpu_syscall_us,
-            memory_bytes=self.memory_bytes,
-            memory_peak_bytes=self.memory_peak_bytes,
-            disk_us=self.disk_us,
-            disk_bytes=self.disk_bytes,
-            packets_received=self.packets_received,
-            packets_dropped=self.packets_dropped,
-            net_tx_bytes=self.net_tx_bytes,
-            syscalls=self.syscalls,
-            connections_accepted=self.connections_accepted,
-        )
+        return replace(self)
 
     def __add__(self, other: "ResourceUsage") -> "ResourceUsage":
-        """Element-wise sum (used to aggregate container subtrees)."""
-        return ResourceUsage(
-            cpu_us=self.cpu_us + other.cpu_us,
-            cpu_network_us=self.cpu_network_us + other.cpu_network_us,
-            cpu_syscall_us=self.cpu_syscall_us + other.cpu_syscall_us,
-            memory_bytes=self.memory_bytes + other.memory_bytes,
-            memory_peak_bytes=self.memory_peak_bytes + other.memory_peak_bytes,
-            disk_us=self.disk_us + other.disk_us,
-            disk_bytes=self.disk_bytes + other.disk_bytes,
-            packets_received=self.packets_received + other.packets_received,
-            packets_dropped=self.packets_dropped + other.packets_dropped,
-            net_tx_bytes=self.net_tx_bytes + other.net_tx_bytes,
-            syscalls=self.syscalls + other.syscalls,
-            connections_accepted=self.connections_accepted
-            + other.connections_accepted,
+        """Field-wise sum (used to aggregate container subtrees)."""
+        return ResourceUsage(**{
+            name: getattr(self, name) + getattr(other, name)
+            for name in FIELDS
+        })
+
+
+#: Every ledger field, in declaration order.
+FIELDS: tuple = tuple(f.name for f in fields(ResourceUsage))
+
+#: The fields that never decrease: what windows difference and cluster
+#: ledgers sum (a freed page would make a level look like lost usage).
+CUMULATIVE_FIELDS: tuple = tuple(
+    f.name for f in fields(ResourceUsage) if f.metadata["kind"] == CUMULATIVE
+)
+
+#: Resource dimension -> its ledger fields (empty for ``fd``).
+DIMENSIONS: dict = {
+    dimension: tuple(
+        f.name for f in fields(ResourceUsage)
+        if f.metadata["dimension"] == dimension
+    )
+    for dimension in DIMENSION_NAMES
+}
+
+
+def check_dimension(dimension: str) -> None:
+    """Raise ``ValueError`` unless ``dimension`` is declared."""
+    if dimension not in DIMENSIONS:
+        raise ValueError(
+            f"unknown resource dimension {dimension!r}; "
+            f"declared: {', '.join(DIMENSION_NAMES)}"
         )
 
 

@@ -37,9 +37,5 @@ class InvalidArgumentError(KernelError):
     """Malformed syscall argument (EINVAL)."""
 
 
-class ConnectionResetError_(KernelError):
-    """The simulated peer reset the connection (ECONNRESET)."""
-
-
 class AddressInUseError(KernelError):
     """bind() collided with an existing (address, port, filter) binding."""

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 from repro.core.container import ResourceContainer
 from repro.core.hierarchy import subtree_usage
 from repro.core.operations import ContainerManager
+from repro.kernel.accounting import ResourceUsage
 
 
 @dataclass(frozen=True)
@@ -33,21 +34,14 @@ class Tariff:
     #: Price per gigabyte read off the disk.
     per_disk_gb: float = 0.01
 
-    def charge(
-        self,
-        cpu_us: float,
-        packets: int,
-        connections: int,
-        disk_us: float = 0.0,
-        disk_bytes: int = 0,
-    ) -> float:
-        """Total price for the given consumption."""
+    def charge(self, usage: ResourceUsage) -> float:
+        """Total price for the consumption in one ledger."""
         return (
-            self.per_cpu_second * (cpu_us / 1e6)
-            + self.per_million_packets * (packets / 1e6)
-            + self.per_connection * connections
-            + self.per_disk_second * (disk_us / 1e6)
-            + self.per_disk_gb * (disk_bytes / 2**30)
+            self.per_cpu_second * (usage.cpu_us / 1e6)
+            + self.per_million_packets * (usage.packets_received / 1e6)
+            + self.per_connection * usage.connections_accepted
+            + self.per_disk_second * (usage.disk_us / 1e6)
+            + self.per_disk_gb * (usage.disk_bytes / 2**30)
         )
 
 
@@ -56,13 +50,8 @@ class InvoiceLine:
     """One customer's (container subtree's) metered consumption."""
 
     name: str
-    cpu_us: float
-    network_cpu_us: float
-    packets: int
-    connections: int
+    usage: ResourceUsage
     amount: float
-    disk_us: float = 0.0
-    disk_bytes: int = 0
 
 
 @dataclass
@@ -94,33 +83,18 @@ class BillingReport:
                 continue
             usage = subtree_usage(container)
             report.lines.append(
-                InvoiceLine(
-                    name=container.name,
-                    cpu_us=usage.cpu_us,
-                    network_cpu_us=usage.cpu_network_us,
-                    packets=usage.packets_received,
-                    connections=usage.connections_accepted,
-                    disk_us=usage.disk_us,
-                    disk_bytes=usage.disk_bytes,
-                    amount=tariff.charge(
-                        usage.cpu_us,
-                        usage.packets_received,
-                        usage.connections_accepted,
-                        disk_us=usage.disk_us,
-                        disk_bytes=usage.disk_bytes,
-                    ),
-                )
+                InvoiceLine(container.name, usage, tariff.charge(usage))
             )
         report.lines.sort(key=lambda line: -line.amount)
         return report
 
     def total_billed_cpu_us(self) -> float:
         """CPU covered by some invoice."""
-        return sum(line.cpu_us for line in self.lines)
+        return sum(line.usage.cpu_us for line in self.lines)
 
     def total_billed_disk_us(self) -> float:
         """Disk service time covered by some invoice."""
-        return sum(line.disk_us for line in self.lines)
+        return sum(line.usage.disk_us for line in self.lines)
 
     def render(self) -> str:
         """Invoice table plus the capacity-planning footer."""
@@ -131,12 +105,14 @@ class BillingReport:
             f"{'amount':>10s}",
         ]
         for line in self.lines:
+            usage = line.usage
             lines.append(
-                f"{line.name:30s}{line.cpu_us / 1e6:>9.3f}"
-                f"{line.network_cpu_us / 1e6:>11.3f}"
-                f"{line.packets:>10d}{line.connections:>8d}"
-                f"{line.disk_us / 1e6:>9.3f}"
-                f"{line.disk_bytes / 2**20:>9.2f}"
+                f"{line.name:30s}{usage.cpu_us / 1e6:>9.3f}"
+                f"{usage.cpu_network_us / 1e6:>11.3f}"
+                f"{usage.packets_received:>10d}"
+                f"{usage.connections_accepted:>8d}"
+                f"{usage.disk_us / 1e6:>9.3f}"
+                f"{usage.disk_bytes / 2**20:>9.2f}"
                 f"{line.amount:>10.4f}"
             )
         if self.elapsed_us > 0:

@@ -152,17 +152,6 @@ class Scheduler(abc.ABC):
         entity advances its work state.
         """
 
-    def note_container_created(self, container: ResourceContainer) -> None:
-        """A container was created (manager ``on_create`` hook).
-
-        Cache-maintaining schedulers use this to keep epoch-guarded
-        caches warm across per-request principal churn.  Default: no-op.
-        """
-
-    def note_container_dying(self, container: ResourceContainer) -> None:
-        """A container is about to be destroyed, still attached
-        (manager ``before_destroy`` hook).  Default: no-op."""
-
     def note_container_destroyed(self, container: ResourceContainer) -> None:
         """A container was destroyed (manager ``on_destroy`` hook);
         drop any per-container bookkeeping.  Default: no-op."""

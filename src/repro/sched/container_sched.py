@@ -1014,10 +1014,3 @@ class ContainerScheduler(Scheduler):
         """Live ready-index entries homed on one shard (tests/metrics)."""
         return self._shards[cpu].queued
 
-    def runnable_entities(self, now: float) -> list[Schedulable]:
-        """Entities that are runnable and not throttled right now."""
-        return [
-            e
-            for e in self._entities.values()
-            if e.runnable and not self.is_throttled(e, now)
-        ]

@@ -39,7 +39,6 @@ def _charging(sources, qualname="Device.consume", rel="dev.py"):
         qualname=qualname,
         dimension="disk",
         description="fixture consumption",
-        sanitizer_check="disk-busy-split",
     )
     return check_charging(graph, primitives=(primitive,))
 
@@ -195,7 +194,6 @@ def test_chg201_flags_a_registry_entry_the_tree_lost():
         qualname="Device.consume",
         dimension="disk",
         description="gone",
-        sanitizer_check=None,
     )
     violations = check_charging(graph, primitives=(primitive,))
     assert [v.rule for v in violations] == ["CHG201"]
@@ -467,8 +465,8 @@ def test_acceptance_matrix_detects_each_seeded_defect_class():
         }
     )
     primitives = (
-        ConsumingPrimitive("dev.py", "Device.consume", "disk", "f", None),
-        ConsumingPrimitive("mem.py", "Pool.admit", "memory", "f", None),
+        ConsumingPrimitive("dev.py", "Device.consume", "disk", "f"),
+        ConsumingPrimitive("mem.py", "Pool.admit", "memory", "f"),
     )
     rules = [v.rule for v in check_charging(graph, primitives=primitives)]
     rules += [v.rule for v in check_smp(graph)]

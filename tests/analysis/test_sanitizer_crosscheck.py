@@ -1,17 +1,21 @@
-"""Static/dynamic agreement on the charging surface: every consuming
-primitive the CHG2xx pass registers must either name a runtime
-sanitizer check that reconciles its dimension, or carry a reasoned
-baseline entry admitting the dimension is unmetered."""
+"""Static/dynamic agreement on the charging surface.  Both halves
+derive from the dimensions declared in ``repro.kernel.accounting``: a
+consuming primitive the CHG2xx pass registers is metered when the
+sanitizer has runtime checks for its dimension, and otherwise must
+carry a reasoned baseline entry admitting the dimension is unmetered."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import sanitizer
-from repro.analysis.charging import PRIMITIVES
+from repro.analysis.charging import PRIMITIVES, ConsumingPrimitive
 from repro.analysis.analyze import ANALYZE_BASELINE_PATH
 from repro.analysis.graph import load_baseline_entries
+from repro.kernel.accounting import DIMENSIONS
 
 
 def _sanitizer_check_ids() -> set:
@@ -46,22 +50,22 @@ def test_dimension_checks_name_only_real_sanitizer_checks():
             )
 
 
-def test_every_metered_primitive_is_covered_by_its_dimension():
-    for primitive in PRIMITIVES:
-        if primitive.sanitizer_check is None:
-            continue
-        covered = sanitizer.DIMENSION_CHECKS.get(primitive.dimension, ())
-        assert primitive.sanitizer_check in covered, (
-            f"{primitive.qualname} ({primitive.dimension}) names "
-            f"sanitizer check {primitive.sanitizer_check!r}, but "
-            "DIMENSION_CHECKS does not list it for that dimension"
-        )
+def test_dimension_checks_derive_from_the_declared_dimensions():
+    assert list(sanitizer.DIMENSION_CHECKS) == list(DIMENSIONS)
+    for dimension, names in DIMENSIONS.items():
+        checks = sanitizer.DIMENSION_CHECKS[dimension]
+        assert ("ledger-integrity" in checks) == bool(names), dimension
+
+
+def test_misspelled_primitive_dimension_raises():
+    with pytest.raises(ValueError, match="unknown resource dimension"):
+        ConsumingPrimitive("dev.py", "Device.consume", "disc", "typo")
 
 
 def test_unmetered_primitives_carry_a_reasoned_baseline_entry():
     entries = load_baseline_entries(ANALYZE_BASELINE_PATH)
     for primitive in PRIMITIVES:
-        if primitive.sanitizer_check is not None:
+        if sanitizer.DIMENSION_CHECKS[primitive.dimension]:
             continue
         matching = [
             e
@@ -74,15 +78,4 @@ def test_unmetered_primitives_carry_a_reasoned_baseline_entry():
             f"{primitive.qualname} has no runtime sanitizer coverage "
             f"({primitive.dimension}); it must charge statically or be "
             "baselined with a written reason"
-        )
-
-
-def test_every_ledger_dimension_with_a_primitive_has_runtime_checks():
-    static_dimensions = {
-        p.dimension for p in PRIMITIVES if p.sanitizer_check is not None
-    }
-    for dimension in static_dimensions:
-        assert sanitizer.DIMENSION_CHECKS.get(dimension), (
-            f"dimension {dimension!r} is metered statically but has no "
-            "runtime reconciliation checks"
         )

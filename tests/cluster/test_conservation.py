@@ -119,6 +119,26 @@ def test_tampered_ledger_detected():
         drain_checkers()
 
 
+@pytest.mark.parametrize("name", ["packets_received", "disk_bytes"])
+def test_tampered_count_field_detected(name):
+    """Every cumulative field is reconciled, not only the CPU and byte
+    counters the cluster ledger first aggregated."""
+    cluster, principals = busy_cluster(seed=17)
+    try:
+        cluster.run(seconds=0.15)
+        gold = principals.principals[0]
+        assert gold.ledger.packets_received > 0
+        setattr(gold.ledger, name, getattr(gold.ledger, name) + 3)
+        cluster.run(seconds=0.05)
+        assert any(
+            v.check == "cluster-ledger-conservation"
+            and ("counter", name) in v.context
+            for v in principals.checker.violations
+        )
+    finally:
+        drain_checkers()
+
+
 def test_tampered_window_usage_detected():
     cluster, principals = busy_cluster(seed=14)
     try:

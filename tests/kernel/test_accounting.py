@@ -1,8 +1,29 @@
 """ResourceUsage / SystemAccounting ledgers."""
 
-import pytest
+import dataclasses
 
-from repro.kernel.accounting import ResourceUsage, SystemAccounting
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kernel.accounting import (
+    CUMULATIVE_FIELDS,
+    DIMENSIONS,
+    FIELDS,
+    ResourceUsage,
+    SystemAccounting,
+)
+
+_FLOAT = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+_INT = st.integers(min_value=-10**12, max_value=10**12)
+
+
+def _ledgers():
+    """Random ledgers, each field drawn with its declared type."""
+    return st.builds(ResourceUsage, **{
+        f.name: _FLOAT if isinstance(f.default, float) else _INT
+        for f in dataclasses.fields(ResourceUsage)
+    })
 
 
 def test_cpu_charge_accumulates():
@@ -47,11 +68,11 @@ def test_snapshot_is_independent():
 
 def test_addition_is_elementwise():
     a = ResourceUsage(cpu_us=1.0, packets_received=2)
-    b = ResourceUsage(cpu_us=3.0, packets_received=5, syscalls=1)
+    b = ResourceUsage(cpu_us=3.0, packets_received=5, connections_accepted=1)
     total = a + b
     assert total.cpu_us == 4.0
     assert total.packets_received == 7
-    assert total.syscalls == 1
+    assert total.connections_accepted == 1
 
 
 def test_validate_clean_ledger():
@@ -104,6 +125,40 @@ def test_validate_catches_negative_counts():
     usage = ResourceUsage()
     usage.packets_dropped = -1
     assert any("packets_dropped" in p for p in usage.validate())
+
+
+def test_dimension_map_partitions_the_fields():
+    declared = [name for names in DIMENSIONS.values() for name in names]
+    assert sorted(declared) == sorted(FIELDS)
+    assert len(declared) == len(set(declared))
+    assert DIMENSIONS["fd"] == ()
+    assert set(FIELDS) - set(CUMULATIVE_FIELDS) == {
+        "memory_bytes", "memory_peak_bytes",
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ledgers(), _ledgers())
+def test_ledger_arithmetic_follows_the_declaration(a, b):
+    snap = a.snapshot()
+    assert snap == a and snap is not a
+    for name in FIELDS:
+        setattr(snap, name, getattr(snap, name) + 1)
+        assert getattr(a, name) != getattr(snap, name)
+    total = a + b
+    for name in FIELDS:
+        assert getattr(total, name) == getattr(a, name) + getattr(b, name)
+        if isinstance(getattr(a, name), int):
+            assert type(getattr(total, name)) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ledgers())
+def test_validate_names_every_negative_field(usage):
+    problems = usage.validate()
+    for name in FIELDS:
+        if getattr(usage, name) < 0:
+            assert any(p.startswith(f"{name} is negative") for p in problems)
 
 
 def test_utilization():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.attributes import fixed_share_attrs
 from repro.core.operations import ContainerManager
+from repro.kernel.accounting import ResourceUsage
 from repro.metrics.billing import BillingReport, Tariff
 
 
@@ -23,7 +24,9 @@ def populated():
 def test_tariff_charges():
     tariff = Tariff(per_cpu_second=1.0, per_million_packets=2.0,
                     per_connection=0.5)
-    amount = tariff.charge(cpu_us=3e6, packets=2_000_000, connections=4)
+    amount = tariff.charge(ResourceUsage(
+        cpu_us=3e6, packets_received=2_000_000, connections_accepted=4,
+    ))
     assert amount == pytest.approx(3.0 + 4.0 + 2.0)
 
 
@@ -31,10 +34,10 @@ def test_tariff_charges_disk_dimensions():
     tariff = Tariff(per_cpu_second=0.0, per_million_packets=0.0,
                     per_connection=0.0, per_disk_second=2.0,
                     per_disk_gb=4.0)
-    amount = tariff.charge(
-        cpu_us=1e6, packets=10, connections=1,
+    amount = tariff.charge(ResourceUsage(
+        cpu_us=1e6, packets_received=10, connections_accepted=1,
         disk_us=5e5, disk_bytes=2**29,
-    )
+    ))
     assert amount == pytest.approx(2.0 * 0.5 + 4.0 * 0.5)
 
 
@@ -42,9 +45,9 @@ def test_report_bills_subtrees(populated):
     manager, guest_a, _guest_b = populated
     report = BillingReport.generate(manager, elapsed_us=10e6)
     by_name = {line.name: line for line in report.lines}
-    assert by_name["guest-a"].cpu_us == pytest.approx(2_000_000.0)
-    assert by_name["guest-a"].packets == 1_000_000
-    assert by_name["guest-b"].cpu_us == pytest.approx(500_000.0)
+    assert by_name["guest-a"].usage.cpu_us == pytest.approx(2_000_000.0)
+    assert by_name["guest-a"].usage.packets_received == 1_000_000
+    assert by_name["guest-b"].usage.cpu_us == pytest.approx(500_000.0)
 
 
 def test_report_sorted_by_amount(populated):
@@ -75,6 +78,25 @@ def test_render_contains_capacity_footer(populated):
     assert "10.0%" in rendered  # unaccounted
 
 
+def test_render_golden_text(populated):
+    """The invoice table's exact text, columns and amounts included."""
+    manager, *_ = populated
+    report = BillingReport.generate(
+        manager, elapsed_us=10e6, unaccounted_cpu_us=1e6
+    )
+    assert report.render() == (
+        "Billing report (per top-level resource container)\n"
+        "customer                          CPU s  net CPU s   packets"
+        "   conns   disk s  disk MB    amount\n"
+        "guest-a                           2.000      2.000   1000000"
+        "     100    0.000     0.00    0.5900\n"
+        "guest-b                           0.500      0.000         0"
+        "       0    0.000     0.00    0.0200\n"
+        "capacity: 25.0% of machine CPU billed, 10.0% unaccounted "
+        "(interrupts/system)"
+    )
+
+
 def test_end_to_end_billing_from_live_host():
     from repro import Host, SystemMode, ip_addr
     from repro.apps.httpserver import EventDrivenServer
@@ -94,7 +116,7 @@ def test_end_to_end_billing_from_live_host():
     )
     assert report.lines
     assert report.total_billed_cpu_us() > 0
-    assert any(line.connections > 0 for line in report.lines)
+    assert any(line.usage.connections_accepted > 0 for line in report.lines)
 
 
 def test_billing_reconciles_with_resource_usage_ledgers():
@@ -125,13 +147,7 @@ def test_billing_reconciles_with_resource_usage_ledgers():
             c for c in host.kernel.containers.root.children
             if c.name == line.name
         )
-        usage = subtree_usage(container)
-        assert line.cpu_us == usage.cpu_us
-        assert line.network_cpu_us == usage.cpu_network_us
-        assert line.packets == usage.packets_received
-        assert line.connections == usage.connections_accepted
-        assert line.disk_us == usage.disk_us
-        assert line.disk_bytes == usage.disk_bytes
+        assert line.usage == subtree_usage(container)
     # Totals: billed == root subtree; billed + unaccounted == machine.
     assert report.total_billed_cpu_us() == (
         subtree_usage(host.kernel.containers.root).cpu_us
@@ -169,17 +185,12 @@ def test_disk_billing_reconciles_with_device_and_ledgers():
             if c.name == line.name
         )
         usage = subtree_usage(container)
-        assert line.disk_us == usage.disk_us
-        assert line.disk_bytes == usage.disk_bytes
+        assert line.usage.disk_us == usage.disk_us
+        assert line.usage.disk_bytes == usage.disk_bytes
     assert report.total_billed_disk_us() > 0
     assert report.total_billed_disk_us() + disk.unaccounted_us \
         == pytest.approx(disk.busy_us, rel=1e-9)
     # Disk consumption prices into the invoice amount.
     tariff = Tariff()
     for line in report.lines:
-        assert line.amount == pytest.approx(
-            tariff.charge(
-                line.cpu_us, line.packets, line.connections,
-                disk_us=line.disk_us, disk_bytes=line.disk_bytes,
-            )
-        )
+        assert line.amount == pytest.approx(tariff.charge(line.usage))
