@@ -129,6 +129,12 @@ class Kernel:
         self.sim = sim
         self.costs = costs
         self.config = config if config is not None else KernelConfig()
+        # A zero slice or window never advances simulated time (the
+        # window timer re-arms at +0), so reject both before any use.
+        for field in ("quantum_us", "window_us"):
+            value = getattr(self.config, field)
+            if not value > 0.0:
+                raise ValueError(f"{field} must be positive, got {value}")
         #: Set by the cluster layer so trace records and observability
         #: lanes can distinguish hosts sharing one simulation.
         self.host_name: Optional[str] = None

@@ -73,8 +73,10 @@ at most one, homed on the picking core's shard, the pick evaluates that
 entry directly (:meth:`_sole_candidate`) instead of walking the heaps:
 under the same key, with the walk's side effects reproduced exactly,
 since shard ``queued`` counts steer placement.  Two or more live
-entries take the heap walk, which is the reference the differential
-fuzz compares the direct path against.
+entries take the heap walk.  Both paths are fuzzed against
+``tests/sched/oracle.py``, a scan-everything reference scheduler
+written from the key above; it also reproduces the seeded schedule
+digest when the kernel runs it in place of this class.
 
 Stale index entries are never searched for.  Mutations that can move an
 *existing* entity's placement key (reparent, attribute replacement)

@@ -70,3 +70,10 @@ def test_window_timer_keeps_rolling():
     host.run(seconds=0.1)
     # 10ms windows over 100ms => about 10 rolls.
     assert host.kernel.scheduler.window_rolls >= 9
+
+
+@pytest.mark.parametrize("value", [0.0, -4.0])
+@pytest.mark.parametrize("field", ["quantum_us", "window_us"])
+def test_non_positive_quantum_or_window_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        Host(mode=SystemMode.RC, config=KernelConfig(**{field: value}))

@@ -27,7 +27,7 @@ from repro.core.operations import ContainerManager
 from repro.kernel.kernel import KernelConfig
 from repro.sched.container_sched import ContainerScheduler
 from repro.syscall import api
-from tests.sched.test_cache_invalidation import NotifyEntity
+from tests.sched.oracle import IndexedFake
 
 
 def _server_host(n_cpus: int, seed: int = 29, **host_kwargs) -> Host:
@@ -77,7 +77,7 @@ def _flat_sched(leaves: int, n_cpus: int):
     entities = []
     for i in range(leaves):
         leaf = manager.create(f"p{i}", attrs=timeshare_attrs(weight=1.0))
-        entities.append(NotifyEntity(f"e{i}", leaf))
+        entities.append(IndexedFake(f"e{i}", leaf))
     for entity in entities:
         sched.attach(entity)
     return manager, sched, entities

@@ -13,51 +13,9 @@ push-notify winner, so each single-pick check hands it back with
 import pytest
 
 from repro.core.attributes import fixed_share_attrs, timeshare_attrs
-from repro.core.binding import SchedulerBinding
 from repro.core.operations import ContainerManager
 from repro.sched.container_sched import ContainerScheduler
-
-
-class NotifyEntity:
-    """Push-notify schedulable stub (exercises the indexed fast path)."""
-
-    sched_push_notify = True
-
-    def __init__(self, name, container):
-        self.name = name
-        self._container = container
-        self.runnable = True
-        self.sched_note_change = None
-
-    @property
-    def container(self):
-        return self._container
-
-    @container.setter
-    def container(self, value):
-        changed = value is not self._container
-        self._container = value
-        if changed and self.sched_note_change is not None:
-            self.sched_note_change()
-
-    def charge_container(self):
-        return self._container
-
-    def scheduler_containers(self):
-        return [self._container] if self._container else []
-
-
-class BoundEntity(NotifyEntity):
-    """Push-notify stub whose priority comes from a real scheduler
-    binding (section 4.3): the max over its live members."""
-
-    def __init__(self, name, container):
-        super().__init__(name, container)
-        self.scheduler_binding = SchedulerBinding()
-        self.scheduler_binding.observe(container, 0.0)
-
-    def scheduler_containers(self):
-        return self.scheduler_binding.members()
+from tests.sched.oracle import BoundFake, IndexedFake, run
 
 
 @pytest.fixture
@@ -67,31 +25,12 @@ def setup():
     return manager, sched
 
 
-def drain(sched, steps, quantum=1000.0, start=0.0):
-    """Run the pick/charge loop; returns per-entity-name quanta counts."""
-    counts: dict[str, int] = {}
-    now = start
-    for _ in range(steps):
-        entity = sched.pick_for_cpu(now, 0)
-        if entity is None:
-            now += quantum
-            continue
-        container = entity.charge_container()
-        if container is not None:
-            container.charge_cpu(quantum)
-        sched.charge(entity, container, quantum, now)
-        sched.on_slice_end(entity, now)
-        counts[entity.name] = counts.get(entity.name, 0) + 1
-        now += quantum
-    return counts
-
-
 def test_priority_change_reflected_in_next_pick(setup):
     manager, sched = setup
     high = manager.create("high", attrs=timeshare_attrs(priority=9))
     low = manager.create("low", attrs=timeshare_attrs(priority=1))
-    a = NotifyEntity("a", high)
-    b = NotifyEntity("b", low)
+    a = IndexedFake("a", high)
+    b = IndexedFake("b", low)
     sched.attach(a)
     sched.attach(b)
     assert sched.pick_for_cpu(0.0, 0) is a
@@ -106,23 +45,23 @@ def test_share_change_shifts_allocation_mid_run(setup):
     manager, sched = setup
     big = manager.create("big", attrs=fixed_share_attrs(0.75))
     small = manager.create("small", attrs=fixed_share_attrs(0.25))
-    a = NotifyEntity("a", big)
-    b = NotifyEntity("b", small)
+    a = IndexedFake("a", big)
+    b = IndexedFake("b", small)
     sched.attach(a)
     sched.attach(b)
-    first = drain(sched, 200)
+    first = run(sched, 200)
     assert first["a"] > first["b"]
     # Swap the shares; the stride weights must re-resolve immediately.
     manager.set_attributes(big, fixed_share_attrs(0.25))
     manager.set_attributes(small, fixed_share_attrs(0.75))
-    second = drain(sched, 200, start=200_000.0)
+    second = run(sched, 200, start=200_000.0)
     assert second["b"] / (second["a"] + second["b"]) == pytest.approx(0.75, abs=0.08)
 
 
 def test_cpu_limit_added_mid_run_takes_effect(setup):
     manager, sched = setup
     c = manager.create("c", attrs=fixed_share_attrs(0.5))
-    entity = NotifyEntity("e", c)
+    entity = IndexedFake("e", c)
     sched.attach(entity)
     c.charge_cpu(3_000.0)
     assert not sched.capped_out(c)
@@ -142,17 +81,17 @@ def test_reparent_moves_entity_to_new_top_level_group(setup):
     strong = manager.create("strong", attrs=fixed_share_attrs(0.8))
     weak = manager.create("weak", attrs=fixed_share_attrs(0.2))
     leaf = manager.create("leaf", parent=weak)
-    mover = NotifyEntity("m", leaf)
-    rival = NotifyEntity("r", strong)
+    mover = IndexedFake("m", leaf)
+    rival = IndexedFake("r", strong)
     sched.attach(mover)
     sched.attach(rival)
-    before = drain(sched, 200)
+    before = run(sched, 200)
     assert before["r"] > before["m"]  # charged to the 0.2 group
     # Reparent the leaf under the strong group: both entities now draw
     # from the same 0.8 container and must round-robin evenly.
     manager.set_parent(leaf, strong)
-    after = drain(sched, 200, start=200_000.0)
-    assert after["m"] == pytest.approx(after["r"], abs=2)
+    after = run(sched, 200, start=200_000.0)
+    assert after["m"] == pytest.approx(after["r"], abs=2_000.0)
 
 
 def test_reparent_under_capped_parent_throttles(setup):
@@ -160,7 +99,7 @@ def test_reparent_under_capped_parent_throttles(setup):
     capped = manager.create("capped", attrs=fixed_share_attrs(0.3, cpu_limit=0.3))
     free = manager.create("free", attrs=fixed_share_attrs(0.7))
     leaf = manager.create("leaf", parent=free)
-    entity = NotifyEntity("e", leaf)
+    entity = IndexedFake("e", leaf)
     sched.attach(entity)
     capped.charge_cpu(3_000.0)  # cap budget already spent
     assert sched.pick_for_cpu(0.0, 0) is entity  # not under the cap yet
@@ -176,8 +115,8 @@ def test_rebind_changes_layer_immediately(setup):
     high = manager.create("high", attrs=timeshare_attrs(priority=9))
     low = manager.create("low", attrs=timeshare_attrs(priority=1))
     mid = manager.create("mid", attrs=timeshare_attrs(priority=5))
-    mover = NotifyEntity("m", low)
-    steady = NotifyEntity("s", mid)
+    mover = IndexedFake("m", low)
+    steady = IndexedFake("s", mid)
     sched.attach(mover)
     sched.attach(steady)
     assert sched.pick_for_cpu(0.0, 0) is steady
@@ -233,10 +172,10 @@ def _member_destroyed(manager, mover, layers):
 
 _KEY_CHANGES = [
     # (mutation, mover type, starts in the high layer, ends in it)
-    ("rebind", _rebind, NotifyEntity, False, True),
-    ("binding-add", _binding_add, BoundEntity, False, True),
-    ("binding-prune", _binding_prune, BoundEntity, True, False),
-    ("member-destroyed", _member_destroyed, BoundEntity, True, False),
+    ("rebind", _rebind, IndexedFake, False, True),
+    ("binding-add", _binding_add, BoundFake, False, True),
+    ("binding-prune", _binding_prune, BoundFake, True, False),
+    ("member-destroyed", _member_destroyed, BoundFake, True, False),
 ]
 
 
@@ -263,7 +202,7 @@ def test_memoized_key_sees_the_new_layer(
     mover = mover_cls("m", layers["low"])
     if start_high:
         mover.scheduler_binding.observe(layers["high"], 0.0)
-    steady = NotifyEntity("s", mid)
+    steady = IndexedFake("s", mid)
     sched.attach(mover)
     sched.attach(steady)
     first = mover if start_high else steady

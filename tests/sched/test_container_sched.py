@@ -5,24 +5,7 @@ import pytest
 from repro.core.attributes import fixed_share_attrs, timeshare_attrs
 from repro.core.operations import ContainerManager
 from repro.sched.container_sched import ContainerScheduler
-
-
-class FakeEntity:
-    """Schedulable stub with a fixed charge container."""
-
-    def __init__(self, name, container, sched_containers=None):
-        self.name = name
-        self.container = container
-        self.sched_containers = sched_containers
-        self.runnable = True
-
-    def charge_container(self):
-        return self.container
-
-    def scheduler_containers(self):
-        if self.sched_containers is not None:
-            return self.sched_containers
-        return [self.container] if self.container else []
+from tests.sched.oracle import VolatileFake, run
 
 
 @pytest.fixture
@@ -32,35 +15,12 @@ def setup():
     return manager, sched
 
 
-def simulate(sched, entities, manager, steps, quantum=1000.0):
-    """Run the pick/charge loop; returns cpu per entity name."""
-    usage = {e.name: 0.0 for e in entities}
-    now = 0.0
-    for step in range(steps):
-        entity = sched.pick_for_cpu(now, 0)
-        if entity is None:
-            now += quantum
-            continue
-        container = entity.charge_container()
-        if container is not None:
-            container.charge_cpu(quantum)
-        sched.charge(entity, container, quantum, now)
-        sched.on_slice_end(entity, now)
-        usage[entity.name] += quantum
-        now += quantum
-        if now % sched.window_us < quantum:
-            sched.window_roll(now)
-    return usage
-
-
 def test_equal_weights_share_equally(setup):
     manager, sched = setup
-    entities = []
     for i in range(3):
         c = manager.create(f"p{i}", attrs=timeshare_attrs())
-        entities.append(FakeEntity(f"e{i}", c))
-        sched.attach(entities[-1])
-    usage = simulate(sched, entities, manager, 300)
+        sched.attach(VolatileFake(f"e{i}", c))
+    usage = run(sched, 300)
     values = list(usage.values())
     assert max(values) - min(values) <= 2000.0  # within two quanta
 
@@ -69,11 +29,11 @@ def test_fixed_shares_respected(setup):
     manager, sched = setup
     heavy = manager.create("heavy", attrs=fixed_share_attrs(0.75))
     light = manager.create("light", attrs=fixed_share_attrs(0.25))
-    a = FakeEntity("a", heavy)
-    b = FakeEntity("b", light)
+    a = VolatileFake("a", heavy)
+    b = VolatileFake("b", light)
     sched.attach(a)
     sched.attach(b)
-    usage = simulate(sched, [a, b], manager, 400)
+    usage = run(sched, 400)
     total = usage["a"] + usage["b"]
     assert usage["a"] / total == pytest.approx(0.75, abs=0.05)
 
@@ -82,11 +42,11 @@ def test_strict_priority_layers(setup):
     manager, sched = setup
     high = manager.create("high", attrs=timeshare_attrs(priority=9))
     low = manager.create("low", attrs=timeshare_attrs(priority=1))
-    a = FakeEntity("a", high)
-    b = FakeEntity("b", low)
+    a = VolatileFake("a", high)
+    b = VolatileFake("b", low)
     sched.attach(a)
     sched.attach(b)
-    usage = simulate(sched, [a, b], manager, 100)
+    usage = run(sched, 100)
     assert usage["a"] == pytest.approx(100 * 1000.0)
     assert usage["b"] == 0.0
 
@@ -95,8 +55,8 @@ def test_priority_zero_runs_only_when_idle(setup):
     manager, sched = setup
     blackhole = manager.create("bh", attrs=timeshare_attrs(priority=0))
     normal = manager.create("n", attrs=timeshare_attrs(priority=4))
-    zero = FakeEntity("zero", blackhole)
-    busy = FakeEntity("busy", normal)
+    zero = VolatileFake("zero", blackhole)
+    busy = VolatileFake("busy", normal)
     sched.attach(zero)
     sched.attach(busy)
     assert sched.pick_for_cpu(0.0, 0) is busy
@@ -110,7 +70,7 @@ def test_cpu_limit_throttles_within_window(setup):
         "capped", attrs=fixed_share_attrs(0.3, cpu_limit=0.3)
     )
     leaf = manager.create("leaf", parent=capped)
-    entity = FakeEntity("e", leaf)
+    entity = VolatileFake("e", leaf)
     sched.attach(entity)
     # Burn 30% of the window.
     leaf.charge_cpu(3_000.0)
@@ -137,13 +97,13 @@ def test_round_robin_within_group_ignores_history(setup):
     group = manager.create("grp", attrs=fixed_share_attrs(0.5))
     leaf1 = manager.create("l1", parent=group)
     leaf2 = manager.create("l2", parent=group)
-    hog = FakeEntity("hog", leaf1)
-    newcomer = FakeEntity("new", leaf2)
+    hog = VolatileFake("hog", leaf1)
+    newcomer = VolatileFake("new", leaf2)
     sched.attach(hog)
     sched.attach(newcomer)
     # Hog runs alone for a long time.
     newcomer.runnable = False
-    simulate(sched, [hog, newcomer], manager, 200)
+    run(sched, 200)
     newcomer.runnable = True
     sched.on_wakeup(newcomer, 0.0)  # volatile entities announce wakeups
     first = sched.pick_for_cpu(0.0, 0)
@@ -155,15 +115,15 @@ def test_group_vtime_clamp_prevents_monopoly(setup):
     manager, sched = setup
     active = manager.create("active", attrs=timeshare_attrs())
     sleeper = manager.create("sleeper", attrs=timeshare_attrs())
-    a = FakeEntity("a", active)
-    s = FakeEntity("s", sleeper)
+    a = VolatileFake("a", active)
+    s = VolatileFake("s", sleeper)
     sched.attach(a)
     sched.attach(s)
     s.runnable = False
-    simulate(sched, [a, s], manager, 500)
+    run(sched, 500)
     s.runnable = True
     sched.on_wakeup(s, 0.0)
-    usage = simulate(sched, [a, s], manager, 100)
+    usage = run(sched, 100)
     # Roughly alternating after wake-up, not 100 slices to the sleeper.
     assert usage["a"] >= 40 * 1000.0
 
@@ -171,7 +131,7 @@ def test_group_vtime_clamp_prevents_monopoly(setup):
 def test_detach_forgets_entity(setup):
     manager, sched = setup
     c = manager.create("c")
-    entity = FakeEntity("e", c)
+    entity = VolatileFake("e", c)
     sched.attach(entity)
     sched.detach(entity)
     assert sched.pick_for_cpu(0.0, 0) is None
@@ -192,8 +152,8 @@ def test_scheduler_binding_priority_combines(setup):
     low = manager.create("low", attrs=timeshare_attrs(priority=1))
     high = manager.create("high", attrs=timeshare_attrs(priority=9))
     other = manager.create("other", attrs=timeshare_attrs(priority=5))
-    multiplexed = FakeEntity("mux", low, sched_containers=[low, high])
-    plain = FakeEntity("plain", other)
+    multiplexed = VolatileFake("mux", low, sched_containers=[low, high])
+    plain = VolatileFake("plain", other)
     sched.attach(multiplexed)
     sched.attach(plain)
     # mux charges 'low' but its combined priority (9) beats plain's 5.

@@ -6,7 +6,7 @@ from repro.core.operations import ContainerManager
 from repro.sched.lottery import DEFAULT_TICKETS, LotteryScheduler
 from repro.sim.rng import SeededRng
 
-from tests.sched.test_container_sched import FakeEntity
+from tests.sched.oracle import VolatileFake
 
 
 @pytest.fixture
@@ -18,8 +18,8 @@ def setup():
 
 def test_share_tracks_tickets(setup):
     manager, sched = setup
-    rich = FakeEntity("rich", manager.create("rich"))
-    poor = FakeEntity("poor", manager.create("poor"))
+    rich = VolatileFake("rich", manager.create("rich"))
+    poor = VolatileFake("poor", manager.create("poor"))
     LotteryScheduler.set_tickets(rich.container, 300)
     LotteryScheduler.set_tickets(poor.container, 100)
     sched.attach(rich)
@@ -33,7 +33,7 @@ def test_share_tracks_tickets(setup):
 
 def test_default_tickets_used_without_state(setup):
     manager, sched = setup
-    entity = FakeEntity("e", manager.create("c"))
+    entity = VolatileFake("e", manager.create("c"))
     assert LotteryScheduler.tickets_of(entity) == DEFAULT_TICKETS
 
 
@@ -46,7 +46,7 @@ def test_set_tickets_validates():
 
 def test_single_runnable_always_picked(setup):
     manager, sched = setup
-    only = FakeEntity("only", manager.create("only"))
+    only = VolatileFake("only", manager.create("only"))
     sched.attach(only)
     for _ in range(50):
         assert sched.pick_for_cpu(0.0, 0) is only
@@ -66,8 +66,8 @@ def test_deterministic_given_seed():
 
 def _run_sequence(manager, seed):
     sched = LotteryScheduler(SeededRng(seed))
-    a = FakeEntity("a", manager.create("a"))
-    b = FakeEntity("b", manager.create("b"))
+    a = VolatileFake("a", manager.create("a"))
+    b = VolatileFake("b", manager.create("b"))
     sched.attach(a)
     sched.attach(b)
     return [sched.pick_for_cpu(0.0, 0).name for _ in range(30)]

@@ -7,7 +7,7 @@ from repro.core.attributes import fixed_share_attrs, timeshare_attrs
 from repro.core.operations import ContainerManager
 from repro.sched.container_sched import ContainerScheduler
 
-from tests.sched.test_container_sched import FakeEntity, simulate
+from tests.sched.oracle import VolatileFake, run
 
 
 @given(
@@ -21,15 +21,10 @@ def test_fixed_shares_proportional_under_saturation(shares):
     always-runnable entities (the section 5.8 exactness property)."""
     manager = ContainerManager()
     sched = ContainerScheduler(manager.root)
-    entities = []
     for index, share in enumerate(shares):
-        container = manager.create(
-            f"g{index}", attrs=fixed_share_attrs(share)
-        )
-        entity = FakeEntity(f"e{index}", container)
-        entities.append(entity)
-        sched.attach(entity)
-    usage = simulate(sched, entities, manager, 600)
+        container = manager.create(f"g{index}", attrs=fixed_share_attrs(share))
+        sched.attach(VolatileFake(f"e{index}", container))
+    usage = run(sched, 600)
     total = sum(usage.values())
     assert total > 0
     for index, share in enumerate(shares):
@@ -44,13 +39,10 @@ def test_no_starvation_within_priority_layer(n):
     """Every runnable entity in one layer eventually runs."""
     manager = ContainerManager()
     sched = ContainerScheduler(manager.root)
-    entities = []
     for index in range(n):
         container = manager.create(f"c{index}", attrs=timeshare_attrs())
-        entity = FakeEntity(f"e{index}", container)
-        entities.append(entity)
-        sched.attach(entity)
-    usage = simulate(sched, entities, manager, n * 30)
+        sched.attach(VolatileFake(f"e{index}", container))
+    usage = run(sched, n * 30)
     assert all(value > 0 for value in usage.values())
 
 
@@ -67,7 +59,7 @@ def test_cpu_limit_never_exceeded_per_window(limit, steps):
         "capped", attrs=fixed_share_attrs(limit, cpu_limit=limit)
     )
     leaf = manager.create("leaf", parent=capped)
-    entity = FakeEntity("e", leaf)
+    entity = VolatileFake("e", leaf)
     sched.attach(entity)
     now = 0.0
     quantum = 500.0
@@ -94,7 +86,7 @@ def test_pick_is_deterministic(seed):
         manager = ContainerManager()
         sched = ContainerScheduler(manager.root)
         entities = [
-            FakeEntity(f"e{i}", manager.create(f"c{i}")) for i in range(4)
+            VolatileFake(f"e{i}", manager.create(f"c{i}")) for i in range(4)
         ]
         for entity in entities:
             sched.attach(entity)

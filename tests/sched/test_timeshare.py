@@ -5,7 +5,7 @@ import pytest
 from repro.core.operations import ContainerManager
 from repro.sched.timeshare import UnixTimeshareScheduler
 
-from tests.sched.test_container_sched import FakeEntity
+from tests.sched.oracle import VolatileFake
 
 
 @pytest.fixture
@@ -17,8 +17,8 @@ def setup():
 
 def test_lowest_usage_runs_first(setup):
     manager, sched = setup
-    a = FakeEntity("a", manager.create("a"))
-    b = FakeEntity("b", manager.create("b"))
+    a = VolatileFake("a", manager.create("a"))
+    b = VolatileFake("b", manager.create("b"))
     sched.attach(a)
     sched.attach(b)
     sched.charge(a, a.container, 5_000.0, 0.0)
@@ -27,7 +27,7 @@ def test_lowest_usage_runs_first(setup):
 
 def test_usage_decays_over_time(setup):
     manager, sched = setup
-    a = FakeEntity("a", manager.create("a"))
+    a = VolatileFake("a", manager.create("a"))
     sched.attach(a)
     sched.charge(a, a.container, 8_000.0, 0.0)
     early = sched.decayed_usage(a, 0.0)
@@ -37,8 +37,8 @@ def test_usage_decays_over_time(setup):
 
 def test_equal_usage_alternates_fairly(setup):
     manager, sched = setup
-    a = FakeEntity("a", manager.create("a"))
-    b = FakeEntity("b", manager.create("b"))
+    a = VolatileFake("a", manager.create("a"))
+    b = VolatileFake("b", manager.create("b"))
     sched.attach(a)
     sched.attach(b)
     usage = {"a": 0.0, "b": 0.0}
@@ -53,7 +53,7 @@ def test_equal_usage_alternates_fairly(setup):
 
 def test_blocked_entities_skipped(setup):
     manager, sched = setup
-    a = FakeEntity("a", manager.create("a"))
+    a = VolatileFake("a", manager.create("a"))
     sched.attach(a)
     a.runnable = False
     assert sched.pick_for_cpu(0.0, 0) is None
@@ -61,7 +61,7 @@ def test_blocked_entities_skipped(setup):
 
 def test_detach_cleans_state(setup):
     manager, sched = setup
-    a = FakeEntity("a", manager.create("a"))
+    a = VolatileFake("a", manager.create("a"))
     sched.attach(a)
     sched.charge(a, a.container, 100.0, 0.0)
     sched.detach(a)

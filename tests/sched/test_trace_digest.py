@@ -1,20 +1,23 @@
-"""Schedule-order determinism across scheduler implementations.
+"""Schedule-order determinism, and the scheduler against its oracle.
 
-The O(log n) index rework of :class:`ContainerScheduler` must be
-*bit-for-bit* behaviour-preserving: every pick, charge, and preemption
-of a seeded run has to happen at the same simulated instant for the
-same entity as with the original linear-scan implementation.  This test
-pins that down: it runs a busy mixed workload (event-driven HTTP server
-with per-request containers, a CPU-capped CGI sand-box, and a SYN
-flood against a priority-zero container) and hashes every ``cpu.slice``
-trace record -- kind, time, duration, charged container, entity.
+The indexed :class:`ContainerScheduler` must be *bit-for-bit* the
+specified policy: every pick, charge, and preemption of a seeded run
+has to happen at the same simulated instant for the same entity as
+with the scan-everything :class:`~tests.sched.oracle.ReferenceScheduler`
+written from the policy's key.  The digest runs a busy mixed workload
+(event-driven HTTP server with per-request containers, a CPU-capped CGI
+sand-box, and a SYN flood against a priority-zero container) and hashes
+every ``cpu.slice`` trace record -- kind, time, duration, charged
+container, entity.
 
-``EXPECTED_DIGEST`` was recorded with the pre-optimisation scheduler
-(linear scan over all entities in ``pick()``).  If a future scheduler
-change alters this digest, it reordered the schedule; that may be
-intentional, but it must be an explicit decision (re-record the digest
-in the same PR and say why), never a silent side effect of a perf
-change.
+``EXPECTED_DIGEST`` was first recorded with the original linear-scan
+scheduler; that scan is now the oracle, and
+:func:`test_reference_scheduler_reproduces_the_digest` runs it as the
+kernel's scheduler to show the digest still is the specified policy.
+If a future scheduler change alters this digest, it reordered the
+schedule; that may be intentional, but it must be an explicit decision
+(re-record the digest in the same PR and say why, and change the
+oracle with it), never a silent side effect of a perf change.
 
 Re-recorded with the repro.io disk subsystem: file reads lost the flat
 CPU miss penalty in favour of an asynchronous device phase, and the
@@ -24,20 +27,25 @@ deliberately reshape the schedule, so the old digest could not survive.
 """
 
 import hashlib
+from typing import Optional
 
 from repro import Host, SystemMode, ip_addr
 from repro.apps.httpserver import CgiPolicy, EventDrivenServer
 from repro.apps.synflood import SynFlooder
 from repro.apps.webclient import HttpClient
+from repro.kernel.kernel import KernelConfig
+from tests.sched.oracle import ReferenceScheduler
 
 EXPECTED_DIGEST = (
     "aac1667cbd348c51d5d69a01e6bfc213367900855c0d85fb43adc8e0eba8f54e"
 )
 
 
-def scheduling_digest(seed: int = 20990131) -> str:
+def scheduling_digest(
+    seed: int = 20990131, config: Optional[KernelConfig] = None
+) -> str:
     """Digest of every CPU slice of a seeded mixed run."""
-    host = Host(mode=SystemMode.RC, seed=seed)
+    host = Host(mode=SystemMode.RC, seed=seed, config=config)
     host.kernel.fs.add_file("/index.html", 1024)
     host.kernel.fs.warm("/index.html")
     records = host.sim.trace.record(["cpu.slice"])
@@ -87,3 +95,14 @@ def test_seeded_schedule_digest_is_stable():
     # earlier run created can shift the second digest.
     assert scheduling_digest() == EXPECTED_DIGEST
     assert scheduling_digest() == EXPECTED_DIGEST
+
+
+def test_reference_scheduler_reproduces_the_digest():
+    config = KernelConfig(
+        scheduler_factory=lambda kernel: ReferenceScheduler(
+            kernel.containers.root,
+            quantum_us=kernel.config.quantum_us,
+            window_us=kernel.config.window_us,
+        )
+    )
+    assert scheduling_digest(config=config) == EXPECTED_DIGEST
