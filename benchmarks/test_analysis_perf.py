@@ -1,13 +1,13 @@
 """Tier-2 perf smoke for the shared-parse analysis stack.
 
-The whole-program analyzer (``python -m repro analyze``) rides on the
-same :class:`~repro.analysis.graph.ModuleGraph` as the determinism
-lint: every file is read and parsed once, the load walk buckets nodes
-by type, and each rule pass iterates its buckets instead of
-re-traversing trees.  The refactor's promise is that the combined
-``python -m repro check`` (lint + all three analyzer families) costs no
-more than lint alone did before the refactor, when the linter parsed
-every file itself and ran two full ``NodeVisitor`` traversals per tree.
+The static gate (``python -m repro check``) runs its four rule passes
+(DET1xx, CHG2xx, SMP3xx, UNIT4xx) off one
+:class:`~repro.analysis.graph.ModuleGraph`: every file is read and
+parsed once, the load walk buckets nodes by type, and each rule pass
+iterates its buckets instead of re-traversing trees.  The shared-graph
+refactor's promise is that the whole gate costs no more than the
+determinism lint alone did before it, when the linter parsed every
+file itself and ran two full ``NodeVisitor`` traversals per tree.
 
 The pre-refactor lint cost one parse of every file plus two full
 ``NodeVisitor`` traversals per tree, which comes to almost exactly
@@ -32,7 +32,6 @@ import pytest
 
 from repro.analysis.analyze import analyze_graph
 from repro.analysis.graph import ModuleGraph, package_root
-from repro.analysis.lint import lint_graph
 
 #: Wall time of the pre-refactor lint alone (independent per-file parse
 #: + two NodeVisitor traversals per tree), best-of-5 on this container
@@ -56,25 +55,19 @@ def _best_ms(fn, repeats: int = 5) -> float:
     return best * 1e3
 
 
-def _combined_shared() -> None:
-    graph = ModuleGraph.load(package_root())
-    lint_graph(graph)
-    analyze_graph(graph)
-
-
 @pytest.mark.perf
 def test_combined_check_no_slower_than_pre_refactor_lint(repro_report):
     load_ms = _best_ms(lambda: ModuleGraph.load(package_root()))
-    fresh = _best_ms(_combined_shared)
+    fresh = _best_ms(lambda: analyze_graph(ModuleGraph.load(package_root())))
     budget_ms = load_ms * PRE_REFACTOR_LOAD_MULTIPLE
     repro_report(
-        "perf smoke: combined lint+analyze "
+        "perf smoke: load + all four passes "
         f"{fresh:.1f}ms vs pre-refactor lint-alone model "
         f"{budget_ms:.1f}ms ({budget_ms / fresh:.2f}x margin; recorded "
         f"actual was {LINT_ALONE_BEFORE_MS:.1f}ms)"
     )
     assert fresh <= budget_ms, (
-        f"combined lint+analyze took {fresh:.1f}ms, slower than the "
+        f"load + all four passes took {fresh:.1f}ms, slower than the "
         f"pre-refactor lint-alone cost model ({budget_ms:.1f}ms = "
         f"{PRE_REFACTOR_LOAD_MULTIPLE}x a {load_ms:.1f}ms graph load "
         "measured in this run); the shared-parse property regressed"
@@ -82,30 +75,11 @@ def test_combined_check_no_slower_than_pre_refactor_lint(repro_report):
 
 
 @pytest.mark.perf
-def test_shared_graph_beats_reparsing_per_tool():
-    """Running lint and analyze off one graph must beat loading a graph
-    per tool -- the saving is a full parse of the tree, so demand a
-    clearly-visible 15% even on noisy machines (measured ~1.8x)."""
-
-    def unshared() -> None:
-        lint_graph(ModuleGraph.load(package_root()))
-        analyze_graph(ModuleGraph.load(package_root()))
-
-    shared_ms = _best_ms(_combined_shared)
-    unshared_ms = _best_ms(unshared)
-    assert unshared_ms >= shared_ms * 1.15, (
-        f"sharing the parsed graph saved almost nothing "
-        f"({shared_ms:.1f}ms shared vs {unshared_ms:.1f}ms unshared); "
-        "a pass is probably re-parsing or re-walking the tree"
-    )
-
-
-@pytest.mark.perf
 def test_analyzer_passes_cost_less_than_the_parse_they_share():
-    """The three analyzer families together must stay cheaper than one
-    graph load: they iterate prebuilt node buckets, so if a pass ever
-    re-walks every tree this flips (analyze ~19ms vs load ~216ms when
-    recorded)."""
+    """The four rule passes together must stay cheaper than one graph
+    load: they iterate prebuilt node buckets, so if a pass ever re-walks
+    every tree this flips (DET ~14ms + the other three ~18ms vs a ~579ms
+    load when recorded)."""
     graph = ModuleGraph.load(package_root())
     load_ms = _best_ms(lambda: ModuleGraph.load(package_root()))
     analyze_ms = _best_ms(lambda: analyze_graph(graph))

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Repo verification: determinism lint, tier-1 tests, perf smoke, and a
+# Repo verification: the static gate, tier-1 tests, perf smoke, and a
 # parallel-sweep smoke.
 #
 # Usage: scripts/verify.sh
 #
 # Runs, in order:
-#   0. the determinism lint (static gate: no wall clocks, global RNG,
+#   0. the static gate (`python -m repro check`), with a 10s wall
+#      budget -- the shared-parse graph keeps all four passes in the
+#      hundreds of ms: determinism DET1xx (no wall clocks, global RNG,
 #      OS entropy, hash(), bare-set iteration, or module-level id
-#      counters in src/repro)
+#      counters), charging-flow CHG2xx, shard-protocol SMP3xx and
+#      units UNIT4xx over src/repro, against the one reasoned baseline
 #   0b. trace determinism: a traced fig11 smoke run twice must export
 #      byte-identical artifacts, and the Chrome trace must be
 #      schema-valid JSON
@@ -16,9 +19,6 @@
 #   0e. SMP charging conservation: a 4-core multi-threaded server run
 #      under the sanitizer must conserve CPU time per core
 #      (accounting-core-busy, core-busy-split, overcommitted-core)
-#   0f. whole-program analyzer (static gate: charging-flow CHG2xx,
-#      shard-protocol SMP3xx, units UNIT4xx), with a 10s wall budget --
-#      the shared-parse graph keeps lint+analyze in the hundreds of ms
 #   0g. monitor determinism: the fig_overload_onset monitored run twice
 #      must export byte-identical dashboards + monitor JSONL, and the
 #      unmodified host must carry a burn-rate alert
@@ -42,8 +42,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-0: determinism lint =="
-python -m repro lint
+echo "== tier-0: static gate =="
+CHECK_START="$(date +%s)"
+python -m repro check
+CHECK_ELAPSED="$(( $(date +%s) - CHECK_START ))"
+if [ "$CHECK_ELAPSED" -ge 10 ]; then
+  echo "static gate FAILED its 10s wall budget (took ${CHECK_ELAPSED}s)"
+  exit 1
+fi
+echo "static gate OK (${CHECK_ELAPSED}s, budget 10s)"
 
 echo "== tier-0b: trace determinism =="
 TRACE_TMP="$(mktemp -d)"
@@ -116,16 +123,6 @@ if abs(split - total) > 1e-6:
 print(f"SMP conservation OK (4 cores, {total / 1e6:.3f}s CPU charged, "
       f"{host.kernel.scheduler.steals} steals, 0 violations)")
 PYEOF
-
-echo "== tier-0f: whole-program analyzer =="
-ANALYZE_START="$(date +%s)"
-python -m repro analyze
-ANALYZE_ELAPSED="$(( $(date +%s) - ANALYZE_START ))"
-if [ "$ANALYZE_ELAPSED" -ge 10 ]; then
-  echo "analyze gate FAILED its 10s wall budget (took ${ANALYZE_ELAPSED}s)"
-  exit 1
-fi
-echo "analyze gate OK (${ANALYZE_ELAPSED}s, budget 10s)"
 
 echo "== tier-0g: monitor determinism =="
 python -m repro monitor fig_overload_onset --trace-out "$TRACE_TMP/mon1" >/dev/null

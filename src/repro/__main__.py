@@ -7,12 +7,11 @@ Usage::
     python -m repro fig12 --full         # slower, larger windows
     python -m repro all --jobs 4         # everything, 4 worker processes
     python -m repro fig11 --no-cache     # recompute even cached points
-    python -m repro lint                 # determinism lint of src/repro
-    python -m repro lint --rules         # the lint rule catalogue
-    python -m repro analyze              # whole-program invariant analyzer
-                                         # (charging / SMP protocol / units)
-    python -m repro analyze --format json
-    python -m repro check                # lint + analyze, one shared parse
+    python -m repro check                # the static gate over src/repro
+                                         # (determinism / charging /
+                                         # SMP protocol / units)
+    python -m repro check --rules        # the rule catalogue
+    python -m repro check --format json
     python -m repro sanitize fig11       # run fig11 under the
                                          # charging-conservation sanitizer
     python -m repro trace fig11 --smoke  # trace one tiny fig11 point and
@@ -116,34 +115,54 @@ def _render_any(result) -> str:
     return str(result)
 
 
-def _run_sanitize(args) -> int:
-    """Run one experiment with every kernel under the conservation
-    sanitizer; report per-host summaries and any violations."""
-    from repro.analysis import sanitizer
+def _rerun(args, command: str, env: dict, body) -> "int | None":
+    """Re-run ``args.target`` in this process with ``env`` set.
 
+    Validates the target against :data:`EXPERIMENTS`, sets ``env`` in
+    ``os.environ``, calls ``body(description, run)`` and restores the
+    previous environment.  ``run()`` executes the experiment serially
+    and bypassing the cache on purpose: every point must actually
+    execute in *this* process so the kernels and hosts it builds
+    register their sanitizers or observabilities where the caller can
+    drain them.  Returns 2 for an unknown target, else ``body``'s
+    return value (None to go on).
+    """
     target = args.target
-    if target is None or target not in EXPERIMENTS:
+    if target not in EXPERIMENTS:
         print(
-            "sanitize: pick an experiment, one of: "
+            f"{command}: pick an experiment, one of: "
             + ", ".join(EXPERIMENTS),
             file=sys.stderr,
         )
         return 2
     description, runner = EXPERIMENTS[target]
-    print(f"== sanitized run: {description} ==")
-    previous = os.environ.get(sanitizer.SANITIZE_ENV)
-    os.environ[sanitizer.SANITIZE_ENV] = "1"
+    saved = {key: os.environ.get(key) for key in env}
+    os.environ.update(env)
     try:
-        # Serial and cache-bypassing on purpose: every point must
-        # actually execute in *this* process so the kernels it builds
-        # register their sanitizers where we can drain them.
-        result = runner(fast=not args.full, jobs=1, cache=False)
+        return body(
+            description,
+            lambda: runner(fast=not args.full, jobs=1, cache=False),
+        )
     finally:
-        if previous is None:
-            del os.environ[sanitizer.SANITIZE_ENV]
-        else:
-            os.environ[sanitizer.SANITIZE_ENV] = previous
-    print(_render_any(result))
+        for key, previous in saved.items():
+            if previous is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = previous
+
+
+def _run_sanitize(args) -> int:
+    """Run one experiment with every kernel under the conservation
+    sanitizer; report per-host summaries and any violations."""
+    from repro.analysis import sanitizer
+
+    def body(description, run):
+        print(f"== sanitized run: {description} ==")
+        print(_render_any(run()))
+
+    rc = _rerun(args, "sanitize", {sanitizer.SANITIZE_ENV: "1"}, body)
+    if rc is not None:
+        return rc
     total = 0
     checkers = sanitizer.drain_installed()
     for checker in checkers:
@@ -168,53 +187,39 @@ def _run_trace(args) -> int:
 
     from repro.obs import observe, validate_chrome_trace
 
-    target = args.target
-    if target is None or target not in EXPERIMENTS:
-        print(
-            "trace: pick an experiment, one of: " + ", ".join(EXPERIMENTS),
-            file=sys.stderr,
-        )
-        return 2
     outdir = args.trace_out or observe.default_outdir()
-    description, runner = EXPERIMENTS[target]
-    previous = os.environ.get(observe.TRACE_ENV)
-    os.environ[observe.TRACE_ENV] = "1"
-    try:
-        # Serial and cache-bypassing for the same reason as sanitize:
-        # every point must execute in *this* process so the hosts it
-        # builds register their observabilities where we can drain them.
-        if args.smoke:
-            if target == "fig11":
-                from repro.experiments import fig11_priority
 
-                print("== traced smoke point: fig11 (select, n_low=5) ==")
-                value = fig11_priority.run_traced()
-                print(f"mean Thigh: {value:.3f} ms")
-            elif target == "fig_disk_isolation":
-                from repro.experiments import fig_disk_isolation
-
-                print(
-                    "== traced smoke point: fig_disk_isolation "
-                    "(wfq, n_antag=4) =="
-                )
-                value = fig_disk_isolation.run_traced()
-                print(f"mean premium latency: {value:.3f} ms")
-            else:
-                print(
-                    "trace: --smoke supports only fig11 and "
-                    "fig_disk_isolation",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
+    def body(description, run):
+        if not args.smoke:
             print(f"== traced run: {description} ==")
-            result = runner(fast=not args.full, jobs=1, cache=False)
-            print(_render_any(result))
-    finally:
-        if previous is None:
-            del os.environ[observe.TRACE_ENV]
+            print(_render_any(run()))
+        elif args.target == "fig11":
+            from repro.experiments import fig11_priority
+
+            print("== traced smoke point: fig11 (select, n_low=5) ==")
+            value = fig11_priority.run_traced()
+            print(f"mean Thigh: {value:.3f} ms")
+        elif args.target == "fig_disk_isolation":
+            from repro.experiments import fig_disk_isolation
+
+            print(
+                "== traced smoke point: fig_disk_isolation "
+                "(wfq, n_antag=4) =="
+            )
+            value = fig_disk_isolation.run_traced()
+            print(f"mean premium latency: {value:.3f} ms")
         else:
-            os.environ[observe.TRACE_ENV] = previous
+            print(
+                "trace: --smoke supports only fig11 and "
+                "fig_disk_isolation",
+                file=sys.stderr,
+            )
+            return 2
+        return None
+
+    rc = _rerun(args, "trace", {observe.TRACE_ENV: "1"}, body)
+    if rc is not None:
+        return rc
     observabilities = observe.drain_installed()
     if not observabilities:
         print("trace: no hosts were observed", file=sys.stderr)
@@ -250,35 +255,16 @@ def _run_monitor(args) -> int:
     from repro.obs import observe
     from repro.obs.monitor import render_dashboard, write_monitor_exports
 
-    target = args.target
-    if target is None or target not in EXPERIMENTS:
-        print(
-            "monitor: pick an experiment, one of: " + ", ".join(EXPERIMENTS),
-            file=sys.stderr,
-        )
-        return 2
     outdir = args.trace_out or observe.default_outdir()
-    description, runner = EXPERIMENTS[target]
-    previous_trace = os.environ.get(observe.TRACE_ENV)
-    previous_windows = os.environ.get(observe.WINDOWS_ENV)
-    os.environ[observe.TRACE_ENV] = "1"
-    os.environ[observe.WINDOWS_ENV] = "100000"
-    try:
-        # Serial and cache-bypassing for the same reason as trace: every
-        # point must execute in *this* process so its hosts register
-        # their observabilities where we can drain them.
+
+    def body(description, run):
         print(f"== monitored run: {description} ==")
-        result = runner(fast=not args.full, jobs=1, cache=False)
-    finally:
-        for key, previous in (
-            (observe.TRACE_ENV, previous_trace),
-            (observe.WINDOWS_ENV, previous_windows),
-        ):
-            if previous is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = previous
-    print(_render_any(result))
+        print(_render_any(run()))
+
+    env = {observe.TRACE_ENV: "1", observe.WINDOWS_ENV: "100000"}
+    rc = _rerun(args, "monitor", env, body)
+    if rc is not None:
+        return rc
     monitored = [
         obs for obs in observe.drain_installed() if obs.pipeline is not None
     ]
@@ -392,13 +378,11 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=[
             *EXPERIMENTS, "all", "list", "bench-obs",
-            "lint", "analyze", "check", "sanitize", "trace", "report",
-            "monitor",
+            "check", "sanitize", "trace", "report", "monitor",
         ],
-        help="which experiment to run ('lint' runs the determinism "
-        "lint over the repro source tree; 'analyze' runs the whole-program "
-        "charging/shard-protocol/units analyzer; 'check' runs lint + "
-        "analyze off one shared parse; 'sanitize <experiment>' re-runs an "
+        help="which experiment to run ('check' runs the static gate -- "
+        "determinism, charging, shard-protocol and units rules -- over "
+        "the repro source tree; 'sanitize <experiment>' re-runs an "
         "experiment with the charging-conservation sanitizer enabled; "
         "'trace <experiment>' re-runs one with observability attached "
         "and exports JSONL/Chrome-trace/flamegraph files; 'report' "
@@ -432,20 +416,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="with 'lint'/'analyze'/'check': rewrite the "
-        "grandfathered-violation baseline(s) from the current tree",
+        help="with 'check': rewrite the reasoned baseline of "
+        "grandfathered violations from the current tree",
     )
     parser.add_argument(
         "--rules",
         action="store_true",
-        help="with 'lint'/'analyze': print the rule catalogue and exit",
+        help="with 'check': print the rule catalogue and exit",
     )
     parser.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
         dest="fmt",
-        help="with 'analyze'/'check': findings as human text (default) "
+        help="with 'check': findings as human text (default) "
         "or machine-readable JSON",
     )
     parser.add_argument(
@@ -480,27 +464,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'bench-obs':10s} Observability overhead (off/observe/windows)")
         return 0
 
-    if args.experiment == "lint":
-        from repro.analysis.lint import run_lint
-
-        return run_lint(
-            update_baseline=args.update_baseline, show_rules=args.rules
-        )
-
-    if args.experiment == "analyze":
-        from repro.analysis.analyze import run_analyze
-
-        return run_analyze(
-            update_baseline=args.update_baseline,
-            show_rules=args.rules,
-            fmt=args.fmt,
-        )
-
     if args.experiment == "check":
         from repro.analysis.analyze import run_check
 
         return run_check(
-            fmt=args.fmt, update_baseline=args.update_baseline
+            fmt=args.fmt,
+            update_baseline=args.update_baseline,
+            show_rules=args.rules,
         )
 
     if args.experiment == "sanitize":

@@ -1,28 +1,30 @@
 """Static and runtime verification of the reproduction's invariants.
 
-Three coordinated checkers keep the repo's flagship properties honest,
-all driven off one shared single-parse module graph
-(:mod:`repro.analysis.graph`):
+Two checkers keep the repo's flagship properties honest:
 
-* :mod:`repro.analysis.lint` -- an AST-based **determinism lint** over
-  the ``repro`` source tree.  The sweep engine's content-addressed cache
-  (PR 2) and the seeded trace-digest tests (PR 1) are only sound if a
-  simulation run is a pure function of (source tree, params, seed).  Any
-  wall-clock read, global-RNG draw, ``hash()``-derived value, or
-  hash-ordered set iteration that reaches simulation state silently
-  breaks that contract; the lint makes those patterns build failures.
+* :mod:`repro.analysis.analyze` -- the **static gate**, ``python -m
+  repro check``.  Four rule passes run off one shared single-parse
+  module graph (:mod:`repro.analysis.graph`), and their findings go
+  through one suppression path (pragmas, one reasoned per-file
+  allowlist, one unwaivable map) and one reasoned baseline:
 
-* :mod:`repro.analysis.analyze` -- the **whole-program invariant
-  analyzer**: a charging-completeness dataflow pass
-  (:mod:`repro.analysis.charging`, CHG2xx) proving every registered
-  resource-consuming primitive routes into a ledger charge or an
-  explicit unaccounted sink on every path; an SMP shard-protocol
-  conformance pass (:mod:`repro.analysis.smp_rules`, SMP3xx) enforcing
-  the ``pick_for_cpu``/``on_slice_end`` dequeue-on-dispatch pairing and
-  the mediation points for global stride/vtime/cap state; and a units
-  checker (:mod:`repro.analysis.units`, UNIT4xx) that lifts the
-  ``_us``/``_bytes``/``_kb`` naming convention into a checked dimension
-  discipline.
+  - a **determinism** pass (:mod:`repro.analysis.lint`, DET1xx).  The
+    sweep engine's content-addressed cache and the seeded trace-digest
+    tests are only sound if a simulation run is a pure function of
+    (source tree, params, seed).  Any wall-clock read, global-RNG draw,
+    ``hash()``-derived value, or hash-ordered set iteration that
+    reaches simulation state silently breaks that contract;
+  - a **charging-completeness** dataflow pass
+    (:mod:`repro.analysis.charging`, CHG2xx) proving every registered
+    resource-consuming primitive routes into a ledger charge or an
+    explicit unaccounted sink on every path;
+  - an **SMP shard-protocol** conformance pass
+    (:mod:`repro.analysis.smp_rules`, SMP3xx) enforcing the
+    ``pick_for_cpu``/``on_slice_end`` dequeue-on-dispatch pairing and
+    the mediation points for global stride/vtime/cap state;
+  - a **units** checker (:mod:`repro.analysis.units`, UNIT4xx) that
+    lifts the ``_us``/``_bytes``/``_kb`` naming convention into a
+    checked dimension discipline.
 
 * :mod:`repro.analysis.sanitizer` -- an opt-in runtime
   **charging-conservation sanitizer**.  The paper's central claim is
@@ -35,10 +37,7 @@ all driven off one shared single-parse module graph
   ledgers.  Its :data:`~repro.analysis.sanitizer.DIMENSION_CHECKS` map
   is cross-checked against the static pass's primitive registry, so the
   static and dynamic checkers agree on the charging surface.
-
-All run from the CLI: ``python -m repro lint``, ``python -m repro
-analyze``, ``python -m repro check`` (lint + analyze off one parse),
-and ``python -m repro sanitize <experiment>``.
+  ``python -m repro sanitize <experiment>`` runs it.
 """
 
 from repro.analysis.rules import RULES, Rule

@@ -1,14 +1,13 @@
 """Shared single-parse module graph for the static-analysis passes.
 
-Every analysis pass (the determinism lint, the CHG2xx charging pass,
-the SMP3xx shard-protocol pass, the UNIT4xx units checker) runs off one
-:class:`ModuleGraph`: each ``*.py`` file under the package is read and
-``ast.parse``\\ d exactly once, and the parsed tree, source lines,
-suppression pragmas, unit annotations, and per-function call tables are
-shared by every pass.  ``python -m repro check`` runs lint + analyze off
-a single graph.
+Every rule pass of the static gate (the DET1xx determinism pass, the
+CHG2xx charging pass, the SMP3xx shard-protocol pass, the UNIT4xx units
+checker) runs off one :class:`ModuleGraph`: each ``*.py`` file under
+the package is read and ``ast.parse``\\ d exactly once, and the parsed
+tree, source lines, suppression pragmas, unit annotations, and
+per-function call tables are shared by every pass.
 
-The suppression machinery is generalised from the original lint:
+The suppression machinery every pass goes through:
 
 * **Inline pragma** -- ``# det: allow[DET101]`` (the original spelling)
   and ``# analysis: allow[CHG201,UNIT402]`` (the generalised spelling,
@@ -16,7 +15,7 @@ The suppression machinery is generalised from the original lint:
 * **Unit annotation** -- ``# analysis: unit[name=us]`` declares the
   dimension of a name for the whole file; ``unit[name=none]`` clears a
   suffix-inferred dimension (see :mod:`repro.analysis.units`).
-* **Baselines with reasons** -- analyzer baselines are JSON lists of
+* **Baselines with reasons** -- the gate's baseline is a JSON list of
   ``{path, rule, code, reason}`` entries, keyed by stripped source line
   (not line number) so unrelated edits do not churn them.  Entries
   without a justification do not absorb violations.
@@ -405,8 +404,7 @@ def filter_suppressed(
 ) -> list:
     """Drop violations waived by pragma or file allowlist.
 
-    Rules in ``unwaivable`` ignore both mechanisms, mirroring the
-    lint's carve-out for the ``obs/`` subtree.
+    Rules in ``unwaivable`` ignore both mechanisms.
     """
     kept = []
     for violation in violations:

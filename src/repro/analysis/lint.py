@@ -1,121 +1,34 @@
-"""AST-based determinism lint over the ``repro`` source tree.
+"""DET1xx: the determinism pass of the static gate.
 
-The checker walks every ``*.py`` file under the installed package and
-flags source patterns that can make a simulation run depend on anything
-other than (source tree, parameters, seed) -- the exact identity the
-sweep cache and the trace-digest tests rely on.  See
-:mod:`repro.analysis.rules` for the catalogue and the rationale behind
-each rule.
+The pass walks every module of the shared
+:class:`~repro.analysis.graph.ModuleGraph` and flags source patterns
+that can make a simulation run depend on anything other than (source
+tree, parameters, seed) -- the exact identity the sweep cache and the
+trace-digest tests rely on.  See :mod:`repro.analysis.rules` for the
+catalogue and the rationale behind each rule.
 
-Three suppression mechanisms, from narrowest to widest:
-
-* **Inline pragma** -- ``# det: allow[DET101]`` on the flagged line.
-  The rule id is mandatory, so a waiver always names what it waives.
-* **Per-file allowlist** -- :data:`FILE_ALLOWLIST` maps package-relative
-  paths to the rules that whole file may use, with a reason.  Bench
-  harnesses legitimately read ``perf_counter`` (they *measure* the
-  host); ``sim/rng.py`` legitimately wraps ``random.Random``.
-* **Committed baseline** -- grandfathered violations recorded in
-  ``lint_baseline.json`` are reported but do not fail the build; any
-  violation *not* in the baseline does.  The baseline is keyed by
-  (path, rule, source-line text), not line numbers, so unrelated edits
-  do not churn it.  ``python -m repro lint --update-baseline`` rewrites
-  it from the current tree.
-
-One carve-out overrides all three: :data:`UNWAIVABLE` names rules that
-certain subtrees may *never* violate, pragma or no pragma.  The
-observability layer (``obs/``) exists to prove runs are byte-identical,
-so a wall clock anywhere under it is always a build failure -- an
-inline waiver is ignored, the allowlist cannot name it, and
-``--update-baseline`` refuses to grandfather it.
+Like the other rule passes, :func:`check_determinism` returns raw
+findings; :func:`repro.analysis.analyze.analyze_graph` applies the one
+suppression path (pragmas, the reasoned per-file allowlist, the
+unwaivable carve-outs) and ``python -m repro check`` reconciles what is
+left against the one reasoned baseline.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-import re
-from collections import Counter
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.analysis.graph import (
     ModuleGraph,
     ModuleInfo,
     Violation,
-    collect_pragmas,
-    package_root,
+    filter_suppressed,
 )
-from repro.analysis.rules import RULES
-
-#: ``# det: allow[DET101]`` (optionally with trailing prose).  Kept for
-#: reference; pragma collection now lives in
-#: :func:`repro.analysis.graph.collect_pragmas`, which also accepts the
-#: generalised ``# analysis: allow[...]`` spelling.
-_PRAGMA_RE = re.compile(r"#\s*det:\s*allow\[(DET\d+)\]")
-
-#: Default committed baseline, next to this module.
-BASELINE_PATH = Path(__file__).resolve().parent / "lint_baseline.json"
-
-#: Per-file waivers: package-relative path -> {rule id -> reason}.
-#: A file listed here may violate exactly the named rules; everything
-#: else in it is still checked.
-FILE_ALLOWLIST: dict[str, dict[str, str]] = {
-    "__main__.py": {
-        "DET101": "host-side progress reporting: wall time of a whole "
-        "experiment run is printed to the operator, never enters "
-        "simulation state",
-    },
-    "sim/rng.py": {
-        "DET102": "the sanctioned home of randomness: wraps "
-        "random.Random(seed) behind the forkable SeededRng tree",
-    },
-    "experiments/sweep.py": {
-        "DET101": "perf_counter timestamps the engine's wall-clock "
-        "stats (SweepStats.wall_s), which are reporting, not results",
-    },
-    "experiments/table1_primitives.py": {
-        "DET101": "Table 1 *is* a wall-clock microbenchmark of the "
-        "Python implementation; its numbers are machine-bound by design "
-        "and are never cached",
-    },
-    "experiments/bench_obs.py": {
-        "DET101": "bench harness: measures host wall time of the "
-        "telemetry pipeline; results go to BENCH_obs.json, not the cache",
-    },
-    "kernel/events.py": {
-        "DET106": "ProcessEventQueue is an IOEvent priority queue (not "
-        "a timer queue) and already pairs every entry with a "
-        "monotonically-assigned seq tie-breaker",
-    },
-}
 
 #: Subtrees whose heap use DET106 sanctions wholesale: the engine's
 #: timer queues live in sim/, the scheduler's decay buckets in sched/.
 _DET106_EXEMPT_PREFIXES = ("sim/", "sched/")
-
-#: Subtree prefix -> rules no suppression mechanism can waive there.
-#: The exporters (and, since the telemetry PR, the monitor dashboard
-#: gate) promise byte-identical output for a given (tree, params,
-#: seed); a wall-clock read or an unseeded RNG anywhere under ``obs/``
-#: would break that silently, so DET101/DET102 are absolute there.
-UNWAIVABLE: dict[str, tuple] = {
-    "obs/": ("DET101", "DET102"),
-    # The cluster layer's whole claim is that an N-kernel run replays
-    # byte-for-byte; a wall clock or unseeded RNG in the fabric, the
-    # balancer, or the global principals would break every cluster
-    # digest silently, so the determinism rules are absolute there.
-    "cluster/": ("DET101", "DET102"),
-}
-
-
-def unwaivable_rules(rel: str) -> frozenset:
-    """Rules that cannot be waived for the package-relative path."""
-    rules: set = set()
-    for prefix, rule_ids in UNWAIVABLE.items():
-        if rel.startswith(prefix):
-            rules.update(rule_ids)
-    return frozenset(rules)
 
 # -- call-name tables -------------------------------------------------------
 
@@ -204,45 +117,16 @@ class _Linter:
     receives the node plus its enclosing-def chain (innermost first) --
     the traversal happened once, during graph load."""
 
-    def __init__(
-        self,
-        rel: str,
-        lines: Sequence[str],
-        allowed: frozenset,
-        pragmas: dict[int, set],
-        set_scopes: dict[ast.AST, set],
-        unwaivable: frozenset = frozenset(),
-    ) -> None:
-        self.rel = rel
-        self.lines = lines
-        self.allowed = allowed
-        self.pragmas = pragmas
-        self.unwaivable = unwaivable
-        self.set_scopes = set_scopes
+    def __init__(self, module: ModuleInfo) -> None:
+        self.module = module
+        self.rel = module.rel
+        self.set_scopes = _scope_set_names(module)
         self.violations: list[Violation] = []
         #: alias -> dotted module/name it stands for.
         self.aliases: dict[str, str] = {}
 
-    # -- reporting ---------------------------------------------------------
-
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if rule not in self.unwaivable:
-            if rule in self.allowed:
-                return
-            if rule in self.pragmas.get(line, ()):
-                return
-        code = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
-        self.violations.append(
-            Violation(
-                path=self.rel,
-                rule=rule,
-                line=line,
-                col=getattr(node, "col_offset", 0),
-                message=message,
-                code=code,
-            )
-        )
+        self.violations.append(self.module.violation(node, rule, message))
 
     # -- import tracking ---------------------------------------------------
 
@@ -412,22 +296,13 @@ class _Linter:
 
 
 # ---------------------------------------------------------------------------
-# Driving
+# The pass
 # ---------------------------------------------------------------------------
 
 
-def lint_module(
-    module: ModuleInfo, allowed: Iterable[str] = ()
-) -> list[Violation]:
-    """Lint one pre-parsed module off the shared graph's node index."""
-    linter = _Linter(
-        rel=module.rel,
-        lines=module.lines,
-        allowed=frozenset(allowed),
-        pragmas=module.pragmas,
-        set_scopes=_scope_set_names(module),
-        unwaivable=unwaivable_rules(module.rel),
-    )
+def lint_module(module: ModuleInfo) -> list[Violation]:
+    """Raw DET findings for one pre-parsed module, off its node index."""
+    linter = _Linter(module)
     index = module.index
     # Imports first (they build the alias table the call checks consult),
     # in source order so a re-bound alias resolves like it always did.
@@ -457,151 +332,27 @@ def lint_module(
     return linter.violations
 
 
-def lint_source(
-    source: str, rel: str, allowed: Iterable[str] = ()
-) -> list[Violation]:
-    """Lint one file's source text; ``rel`` names it in findings.
-
-    Rules that are :func:`unwaivable_rules` for ``rel`` ignore both
-    ``allowed`` and inline pragmas.
-    """
-    return lint_module(ModuleInfo.parse(rel, source), allowed)
-
-
-def lint_graph(
-    graph: ModuleGraph,
-    allowlist: "dict[str, dict[str, str]] | None" = None,
-) -> list[Violation]:
-    """Lint every module of an already-parsed :class:`ModuleGraph`."""
-    if allowlist is None:
-        allowlist = FILE_ALLOWLIST
+def check_determinism(graph: ModuleGraph) -> list[Violation]:
+    """DET1xx over every module of the graph, before suppression."""
     violations: list[Violation] = []
     for rel in sorted(graph.modules):
-        module = graph.modules[rel]
-        violations.extend(lint_module(module, allowlist.get(rel, {})))
+        violations.extend(lint_module(graph.modules[rel]))
     return violations
 
 
-def lint_tree(
-    root: "Path | None" = None,
-    allowlist: "dict[str, dict[str, str]] | None" = None,
+def lint_source(
+    source: str, rel: str, allowed: Iterable[str] = ()
 ) -> list[Violation]:
-    """Lint every ``*.py`` under ``root`` (default: the repro package)."""
-    return lint_graph(ModuleGraph.load(root), allowlist)
+    """DET findings for one file's source text, ``rel`` naming it, after
+    the gate's suppression with ``allowed`` as the file's allowlist.
 
+    Rules that are unwaivable for ``rel`` ignore both ``allowed`` and
+    inline pragmas.
+    """
+    # Imported here: analyze imports this module for the pass.
+    from repro.analysis.analyze import unwaivable_rules
 
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-
-def load_baseline(path: "Path | None" = None) -> Counter:
-    """Multiset of grandfathered fingerprints (missing file = empty)."""
-    if path is None:
-        path = BASELINE_PATH
-    try:
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return Counter()
-    return Counter(
-        (e["path"], e["rule"], e["code"]) for e in entries
+    module = ModuleInfo.parse(rel, source)
+    return filter_suppressed(
+        lint_module(module), module, frozenset(allowed), unwaivable_rules(rel)
     )
-
-
-def write_baseline(
-    violations: Sequence[Violation], path: "Path | None" = None
-) -> Path:
-    """Persist the given violations as the new grandfathered baseline."""
-    if path is None:
-        path = BASELINE_PATH
-    entries = [
-        {"path": v.path, "rule": v.rule, "code": v.code}
-        for v in sorted(violations, key=lambda v: (v.path, v.line))
-    ]
-    Path(path).write_text(
-        json.dumps(entries, indent=2) + "\n", encoding="utf-8"
-    )
-    return Path(path)
-
-
-def split_by_baseline(
-    violations: Sequence[Violation], baseline: Counter
-) -> "tuple[list[Violation], list[Violation]]":
-    """(new, grandfathered): baseline entries absorb matching violations
-    one-for-one, so a *second* occurrence of a grandfathered pattern is
-    still new.  Unwaivable violations are always new, even when a stale
-    (hand-edited) baseline lists their fingerprint."""
-    budget = Counter(baseline)
-    new: list[Violation] = []
-    old: list[Violation] = []
-    for violation in violations:
-        fp = violation.fingerprint()
-        if (
-            violation.rule not in unwaivable_rules(violation.path)
-            and budget[fp] > 0
-        ):
-            budget[fp] -= 1
-            old.append(violation)
-        else:
-            new.append(violation)
-    return new, old
-
-
-# ---------------------------------------------------------------------------
-# CLI entry (dispatched from repro.__main__)
-# ---------------------------------------------------------------------------
-
-
-def run_lint(
-    update_baseline: bool = False,
-    show_rules: bool = False,
-    root: "Path | None" = None,
-    baseline_path: "Path | None" = None,
-    graph: "ModuleGraph | None" = None,
-) -> int:
-    """Run the tree lint; print findings; return a process exit code."""
-    from repro.analysis.rules import describe
-
-    if show_rules:
-        for rule_id in sorted(RULES):
-            print(describe(rule_id))
-            print()
-        return 0
-    if graph is None:
-        graph = ModuleGraph.load(root)
-    violations = lint_graph(graph)
-    if update_baseline:
-        fixable = [
-            v for v in violations
-            if v.rule not in unwaivable_rules(v.path)
-        ]
-        path = write_baseline(fixable, baseline_path)
-        print(f"lint: baseline updated ({len(fixable)} entries) -> {path}")
-        refused = len(violations) - len(fixable)
-        if refused:
-            print(
-                f"lint: refused to grandfather {refused} unwaivable "
-                "violation(s); they must be fixed"
-            )
-            return 1
-        return 0
-    new, grandfathered = split_by_baseline(
-        violations, load_baseline(baseline_path)
-    )
-    for violation in new:
-        print(violation.render())
-    if grandfathered:
-        print(
-            f"lint: {len(grandfathered)} grandfathered violation(s) "
-            "tracked in the baseline (fix and --update-baseline to retire)"
-        )
-    if new:
-        print(
-            f"lint: {len(new)} new violation(s); see "
-            "`python -m repro lint --rules` for the catalogue, "
-            "suppress a line with `# det: allow[<RULE>]` only with a "
-            "reviewed reason"
-        )
-        return 1
-    print("lint: OK (no new determinism violations)")
-    return 0

@@ -1,10 +1,10 @@
-"""The determinism-lint rule catalogue.
+"""The static gate's rule catalogue (``python -m repro check --rules``).
 
 Each rule documents *what breaks* when it is violated, because every
-suppression (inline pragma or per-file allowlist entry) must name the
-rule id it is waiving -- a reviewer reading ``# det: allow[DET101]``
-should be able to look the id up here and decide whether the waiver is
-justified.
+suppression (inline pragma, per-file allowlist or baseline entry) must
+name the rule id it is waiving -- anyone reading
+``# det: allow[DET101]`` should be able to look the id up here and
+decide whether the waiver is justified.
 
 The three artifacts a violation can poison:
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Rule:
-    """One lint rule: id, short name, and the rationale for enforcing it."""
+    """One rule: id, short name, and the rationale for enforcing it."""
 
     id: str
     name: str
@@ -247,7 +247,7 @@ RULES: dict[str, Rule] = {
 
 
 def describe(rule_id: str) -> str:
-    """One-paragraph human description of a rule (CLI `lint --rules`)."""
+    """One-paragraph human description of a rule (CLI `check --rules`)."""
     rule = RULES[rule_id]
     return (
         f"{rule.id} ({rule.name})\n"

@@ -112,25 +112,6 @@ class SeriesBuffer:
         out = list(self.values)
         return out[len(out) - n:]
 
-    def tail_stats(self, n: int) -> tuple:
-        """(mean, max, count) over the newest ``n`` values, O(n) --
-        no full-buffer copy (the close path calls this per key)."""
-        values = self.values
-        count = min(n, len(values))
-        if count == 0:
-            return 0.0, 0.0, 0
-        total = 0.0
-        worst = None
-        taken = 0
-        for value in reversed(values):
-            total += value
-            if worst is None or value > worst:
-                worst = value
-            taken += 1
-            if taken >= count:
-                break
-        return total / count, worst, count
-
     def points(self) -> list:
         """All retained (time_us, value) pairs, oldest first."""
         return list(zip(self.times, self.values))
@@ -309,23 +290,6 @@ class WindowRollup:
                 if best is None or value > best:
                     best = value
         return best
-
-    def latency_merged(self, subsystem: str, name: str) -> Optional[dict]:
-        """Count-weighted merge of latency summaries across containers."""
-        count = 0
-        total = 0.0
-        worst = None
-        for key, summary in self.latency.items():
-            if key[1] == subsystem and key[2] == name:
-                count += summary["count"]
-                total += summary["count"] * (summary["mean"] or 0.0)
-                if summary["max"] is not None and (
-                    worst is None or summary["max"] > worst
-                ):
-                    worst = summary["max"]
-        if count == 0:
-            return None
-        return {"count": count, "mean": total / count, "max": worst}
 
     def to_dict(self) -> dict:
         """JSON-safe dump with ``container/subsystem/name`` string keys."""

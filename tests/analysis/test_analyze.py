@@ -1,6 +1,6 @@
 """The whole-program analyzer: seeded defect fixtures for each rule
 family, clean-pattern fixtures, driver exit codes, and the clean-tree
-gate (`python -m repro analyze` must exit 0 on HEAD)."""
+gate (`python -m repro check` must exit 0 on HEAD)."""
 
 from __future__ import annotations
 
@@ -12,17 +12,23 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.analyze import (
+    ANALYZE_BASELINE_PATH,
     analyze_graph,
-    run_analyze,
     run_check,
+    unwaivable_rules,
 )
 from repro.analysis.charging import (
     PRIMITIVES,
     ConsumingPrimitive,
     check_charging,
 )
-from repro.analysis.graph import ModuleGraph
+from repro.analysis.graph import (
+    ModuleGraph,
+    load_baseline_entries,
+    reconcile_baseline,
+)
 from repro.analysis.rules import RULES
 from repro.analysis.smp_rules import check_smp
 from repro.analysis.units import check_units
@@ -485,7 +491,8 @@ _DIRTY_TREE = {
         "def f(state, size_bytes):\n"
         "    state.pass_value = 1.0\n"
         "    total_us = size_bytes\n"
-    )
+    ),
+    "apps/clock.py": "import time\n\ndef f():\n    return time.time()\n",
 }
 
 
@@ -498,31 +505,44 @@ def _materialize(tmp_path, sources) -> Path:
     return root
 
 
+def _repro(*argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 def test_run_analyze_exit_one_on_violations(tmp_path, capsys):
     root = _materialize(tmp_path, _DIRTY_TREE)
-    rc = run_analyze(root=root, baseline_path=tmp_path / "b.json")
+    rc = run_check(root=root, baseline_path=tmp_path / "b.json")
     assert rc == 1
     out = capsys.readouterr().out
-    assert "SMP303" in out and "UNIT402" in out
+    assert "DET101" in out and "SMP303" in out and "UNIT402" in out
 
 
 def test_run_analyze_json_format(tmp_path, capsys):
     root = _materialize(tmp_path, _DIRTY_TREE)
-    rc = run_analyze(
+    rc = run_check(
         root=root, baseline_path=tmp_path / "b.json", fmt="json"
     )
     assert rc == 1
+    # The report is the whole of stdout, DET findings included.
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     rules = {v["rule"] for v in payload["new"]}
-    assert {"SMP303", "UNIT402"} <= rules
+    assert {"DET101", "SMP303", "UNIT402"} <= rules
 
 
 def test_update_baseline_requires_reasons_then_absorbs(tmp_path, capsys):
     root = _materialize(tmp_path, _DIRTY_TREE)
     baseline = tmp_path / "b.json"
     # First pass: entries are written but unreasoned -> still failing.
-    rc = run_analyze(
+    rc = run_check(
         update_baseline=True, root=root, baseline_path=baseline
     )
     assert rc == 1
@@ -530,14 +550,14 @@ def test_update_baseline_requires_reasons_then_absorbs(tmp_path, capsys):
     entries = json.loads(baseline.read_text())
     assert entries and all(e["reason"] == "" for e in entries)
     # An unreasoned baseline absorbs nothing.
-    assert run_analyze(root=root, baseline_path=baseline) == 1
+    assert run_check(root=root, baseline_path=baseline) == 1
     # Write reasons; now the baseline absorbs and the tree passes.
     for entry in entries:
         entry["reason"] = "fixture: deliberately grandfathered"
     baseline.write_text(json.dumps(entries))
-    assert run_analyze(root=root, baseline_path=baseline) == 0
+    assert run_check(root=root, baseline_path=baseline) == 0
     # Re-updating preserves the reasons.
-    rc = run_analyze(
+    rc = run_check(
         update_baseline=True, root=root, baseline_path=baseline
     )
     assert rc == 0
@@ -548,7 +568,16 @@ def test_update_baseline_requires_reasons_then_absorbs(tmp_path, capsys):
 
 
 def test_head_tree_is_clean_in_process():
-    assert run_analyze() == 0
+    """On HEAD the gate's only finding is the one reasoned CHG201 entry."""
+    new, grandfathered, stale, unjustified = reconcile_baseline(
+        analyze_graph(ModuleGraph.load()),
+        load_baseline_entries(ANALYZE_BASELINE_PATH),
+        unwaivable_rules,
+    )
+    assert new == [] and stale == [] and unjustified == []
+    assert [(v.path, v.rule) for v in grandfathered] == [
+        ("kernel/descriptors.py", "CHG201")
+    ]
 
 
 def test_head_tree_check_combines_lint_and_analyze():
@@ -556,15 +585,9 @@ def test_head_tree_check_combines_lint_and_analyze():
 
 
 def test_cli_analyze_exits_zero_on_head():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "analyze", "--format", "json"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    """`python -m repro check` is the CI entry point; its JSON report is
+    the whole of stdout."""
+    proc = _repro("check", "--format", "json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ok"] is True
@@ -572,19 +595,18 @@ def test_cli_analyze_exits_zero_on_head():
 
 
 def test_cli_rules_lists_the_analyzer_catalogue():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "analyze", "--rules"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _repro("check", "--rules")
     assert proc.returncode == 0
-    for rule_id in ("CHG201", "SMP302", "UNIT401"):
+    for rule_id in ("DET101", "CHG201", "SMP302", "UNIT401"):
         assert rule_id in proc.stdout
-    assert "DET101" not in proc.stdout
+    assert all(f"{rule_id} (" in proc.stdout for rule_id in RULES)
+
+
+def test_retired_subcommands_are_rejected():
+    for retired in ("lint", "analyze"):
+        with pytest.raises(SystemExit) as exc:
+            main([retired])
+        assert exc.value.code == 2
 
 
 def test_primitive_registry_matches_the_real_tree():

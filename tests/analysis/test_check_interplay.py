@@ -1,22 +1,25 @@
-"""Pragma / allowlist / baseline interplay across lint and analyze:
-pragma wins over baseline, stale baseline entries are reported, and
-unwaivable rules stay refused through every mechanism."""
+"""Pragma / allowlist / baseline interplay across every rule family of
+the one gate: pragma wins over baseline, the reasoned baseline
+grandfathers DET and CHG findings alike, stale or unreasoned entries
+fail the gate, and unwaivable rules stay refused through every
+mechanism."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+
+import pytest
 
 from repro.analysis import lint
 from repro.analysis.analyze import (
     analyze_graph,
-    run_analyze,
+    run_check,
     unwaivable_rules,
 )
 from repro.analysis.graph import ModuleGraph
 
 # ---------------------------------------------------------------------------
-# Pragmas across both tools
+# Pragmas across every family
 # ---------------------------------------------------------------------------
 
 
@@ -113,35 +116,108 @@ def test_pragma_beats_baseline_and_strands_the_entry(tmp_path, capsys):
     # The pragma suppresses the violation before baseline matching, so
     # the baseline entry is now stale -- and stale entries fail the run
     # until retired.
-    rc = run_analyze(root=root, baseline_path=baseline)
+    rc = run_check(root=root, baseline_path=baseline)
     out = capsys.readouterr().out
     assert rc == 1
     assert "stale baseline entry" in out
     # Retiring it with --update-baseline clears the failure.
     assert (
-        run_analyze(
+        run_check(
             update_baseline=True, root=root, baseline_path=baseline
         )
         == 0
     )
     assert json.loads(baseline.read_text()) == []
-    assert run_analyze(root=root, baseline_path=baseline) == 0
+    assert run_check(root=root, baseline_path=baseline) == 0
 
 
-def test_stale_lint_baseline_is_surfaced_as_grandfather_budget():
-    # The lint keeps its original one-for-one absorption: a baseline
-    # fingerprint only absorbs one live occurrence; a second identical
-    # violation is new.
-    violation = lint.lint_source(
-        "import time\n\ndef f():\n    return time.time()\n", "m.py"
-    )[0]
-    from collections import Counter
+# ---------------------------------------------------------------------------
+# One reasoned baseline for every family
+# ---------------------------------------------------------------------------
 
-    twice = [violation, violation]
-    new, old = lint.split_by_baseline(
-        twice, Counter([violation.fingerprint()])
+#: One waivable finding per fixture family: (path, source, fixed source).
+GRANDFATHERABLE = {
+    "DET101": (
+        "apps/clock.py",
+        "import time\n\ndef f():\n    return time.time()\n",
+        "def f(sim):\n    return sim.now\n",
+    ),
+    "CHG201": (
+        "kernel/descriptors.py",
+        "class DescriptorTable:\n"
+        "    def allocate(self, kind, obj):\n"
+        "        self.slots.append(obj)\n",
+        "class DescriptorTable:\n"
+        "    def allocate(self, kind, obj):\n"
+        "        obj.container.usage.charge(1)\n"
+        "        self.slots.append(obj)\n",
+    ),
+}
+
+
+def _check_json(capsys, **kwargs) -> tuple:
+    rc = run_check(fmt="json", **kwargs)
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def _baselined_tree(tmp_path, capsys, rule, reason="fixture: kept"):
+    """A one-finding tree plus a baseline that --update-baseline wrote
+    and that was then given ``reason``: (root, baseline path)."""
+    rel, source, _fixed = GRANDFATHERABLE[rule]
+    root = _write_tree(tmp_path, {rel: source})
+    baseline = tmp_path / "b.json"
+    run_check(update_baseline=True, root=root, baseline_path=baseline)
+    capsys.readouterr()
+    entries = json.loads(baseline.read_text())
+    assert [e["rule"] for e in entries] == [rule]
+    for entry in entries:
+        entry["reason"] = reason
+    baseline.write_text(json.dumps(entries))
+    return root, baseline
+
+
+@pytest.mark.parametrize("rule", sorted(GRANDFATHERABLE))
+def test_reasoned_baseline_grandfathers_across_line_shifts(
+    tmp_path, capsys, rule
+):
+    root, baseline = _baselined_tree(tmp_path, capsys, rule)
+    # A missing baseline file is an empty one: the finding is new.
+    rc, payload = _check_json(
+        capsys, root=root, baseline_path=tmp_path / "none.json"
     )
-    assert len(old) == 1 and len(new) == 1
+    assert rc == 1 and [v["rule"] for v in payload["new"]] == [rule]
+    # Unrelated edits above the finding must not churn the baseline.
+    rel, source, _fixed = GRANDFATHERABLE[rule]
+    (root / rel).write_text("PADDING = 1\n\n\n" + source, encoding="utf-8")
+    rc, payload = _check_json(capsys, root=root, baseline_path=baseline)
+    assert rc == 0 and payload["new"] == []
+    assert [v["rule"] for v in payload["grandfathered"]] == [rule]
+    assert payload["grandfathered"][0]["line"] > 3
+
+
+@pytest.mark.parametrize("rule", sorted(GRANDFATHERABLE))
+def test_stale_baseline_entry_fails_the_gate(tmp_path, capsys, rule):
+    root, baseline = _baselined_tree(tmp_path, capsys, rule)
+    rel, _source, fixed = GRANDFATHERABLE[rule]
+    (root / rel).write_text(fixed, encoding="utf-8")
+    rc, payload = _check_json(capsys, root=root, baseline_path=baseline)
+    assert rc == 1 and payload["new"] == []
+    assert [e["rule"] for e in payload["stale_baseline"]] == [rule]
+    # Retiring the entry clears the failure.
+    assert (
+        run_check(update_baseline=True, root=root, baseline_path=baseline)
+        == 0
+    )
+    assert json.loads(baseline.read_text()) == []
+
+
+@pytest.mark.parametrize("rule", sorted(GRANDFATHERABLE))
+def test_unreasoned_baseline_entry_absorbs_nothing(tmp_path, capsys, rule):
+    root, baseline = _baselined_tree(tmp_path, capsys, rule, reason="  ")
+    rc, payload = _check_json(capsys, root=root, baseline_path=baseline)
+    assert rc == 1 and payload["grandfathered"] == []
+    assert [v["rule"] for v in payload["new"]] == [rule]
+    assert [e["rule"] for e in payload["unjustified_baseline"]] == [rule]
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +234,14 @@ def test_obs_wall_clock_unwaivable_through_every_spelling():
         source, "obs/export.py", allowed=("DET101",)
     )
     assert [v.rule for v in violations] == ["DET101"]
+    # One map holds every family's carve-out: both nondeterminism
+    # sources are absolute under obs/ and cluster/, at any depth, next
+    # to the charging and units families; other DET rules stay waivable.
+    for rel in ("obs/spans.py", "obs/deep/nested.py", "cluster/fabric.py"):
+        assert unwaivable_rules(rel) == {
+            "DET101", "DET102", "CHG201", "CHG202",
+            "UNIT401", "UNIT402", "UNIT403",
+        }
 
 
 def test_cpu_charging_rules_unwaivable_in_analyze():
@@ -186,11 +270,15 @@ def test_analyze_baseline_cannot_absorb_unwaivable(tmp_path, capsys):
                 "class CPU:\n"
                 "    def _account(self, amount_us):\n"
                 "        self.busy_us += amount_us\n"
-            )
+            ),
+            "obs/clock.py": (
+                "import time\n\ndef f():\n    return time.time()\n"
+            ),
         },
     )
     baseline = tmp_path / "b.json"
-    violation = analyze_graph(ModuleGraph.load(root))[0]
+    violations = analyze_graph(ModuleGraph.load(root))
+    assert sorted(v.rule for v in violations) == ["CHG201", "DET101"]
     baseline.write_text(
         json.dumps(
             [
@@ -200,12 +288,15 @@ def test_analyze_baseline_cannot_absorb_unwaivable(tmp_path, capsys):
                     "code": violation.code,
                     "reason": "hand-edited attempt to grandfather",
                 }
+                for violation in violations
             ]
         )
     )
-    assert run_analyze(root=root, baseline_path=baseline) == 1
+    rc, payload = _check_json(capsys, root=root, baseline_path=baseline)
+    assert rc == 1 and payload["grandfathered"] == []
+    assert sorted(v["rule"] for v in payload["new"]) == ["CHG201", "DET101"]
     # --update-baseline refuses to write it, too.
-    rc = run_analyze(
+    rc = run_check(
         update_baseline=True, root=root, baseline_path=baseline
     )
     out = capsys.readouterr().out

@@ -133,12 +133,21 @@ def _entry(path="m.py", rule="CHG201", code="return True", reason="ok"):
 
 
 def test_reconcile_absorbs_one_for_one():
+    # Every family goes through the one reconcile: an entry absorbs one
+    # live occurrence, and a second identical finding is new.
+    det = {"rule": "DET101", "code": "return time.time()"}
     new, old, stale, unjust = reconcile_baseline(
-        [_violation(line=3), _violation(line=9)],
-        [_entry()],
+        [
+            _violation(line=3),
+            _violation(line=9),
+            _violation(line=4, **det),
+            _violation(line=8, **det),
+        ],
+        [_entry(), _entry(**det)],
         lambda rel: frozenset(),
     )
-    assert len(old) == 1 and len(new) == 1
+    assert [v.line for v in old] == [3, 4]
+    assert [v.line for v in new] == [9, 8]
     assert stale == [] and unjust == []
 
 

@@ -1,16 +1,15 @@
-"""Determinism lint: seeded rule fixtures, suppression mechanics, and
-the clean-tree gate (`python -m repro lint` must exit 0 on HEAD)."""
+"""The DET1xx determinism pass: seeded rule fixtures, its suppression
+through the gate's one path, and a DET-free tree on HEAD.  Baseline
+mechanics, shared by every rule family, live in
+test_check_interplay.py."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint
+from repro.analysis.analyze import FILE_ALLOWLIST, analyze_graph
+from repro.analysis.graph import ModuleGraph
 from repro.analysis.rules import RULES, describe
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def test_file_allowlist_waives_only_named_rules():
 
 
 def test_allowlist_entries_all_name_reasons():
-    for path, rules in lint.FILE_ALLOWLIST.items():
+    for path, rules in FILE_ALLOWLIST.items():
         for rule_id, reason in rules.items():
             assert rule_id in RULES, f"{path} allowlists unknown {rule_id}"
             assert len(reason) > 10, f"{path}:{rule_id} needs a real reason"
@@ -187,9 +186,9 @@ def test_det106_flags_aliased_heap_calls():
 def test_det106_allowlisted_for_kernel_events_with_reason():
     # kernel/events.py hosts the IOEvent priority queue, which carries
     # its own seq tie-breaker; its waiver must stay narrowly scoped.
-    assert "DET106" in lint.FILE_ALLOWLIST["kernel/events.py"]
+    assert "DET106" in FILE_ALLOWLIST["kernel/events.py"]
     source = "import heapq\n"
-    allowed = lint.FILE_ALLOWLIST["kernel/events.py"]
+    allowed = FILE_ALLOWLIST["kernel/events.py"]
     assert lint.lint_source(source, "kernel/events.py", allowed) == []
 
 
@@ -211,84 +210,7 @@ def test_det107_flags_module_scope_and_ignores_function_bodies():
     assert lint.lint_source(function, "net/x.py") == []
     assert lint.lint_source(method, "net/x.py") == []
     # The allowlist grants DET107 to no file.
-    assert not any("DET107" in rules for rules in lint.FILE_ALLOWLIST.values())
-
-
-# ---------------------------------------------------------------------------
-# Baseline mechanics
-# ---------------------------------------------------------------------------
-
-
-def _tree(tmp_path: Path, files: dict) -> Path:
-    root = tmp_path / "pkg"
-    root.mkdir()
-    for rel, source in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source, encoding="utf-8")
-    return root
-
-
-def test_baseline_grandfathers_existing_violations(tmp_path):
-    root = _tree(
-        tmp_path,
-        {"old.py": "import time\n\ndef f():\n    return time.time()\n"},
-    )
-    violations = lint.lint_tree(root=root, allowlist={})
-    assert len(violations) == 1
-    baseline_path = tmp_path / "baseline.json"
-    lint.write_baseline(violations, baseline_path)
-    baseline = lint.load_baseline(baseline_path)
-    new, grandfathered = lint.split_by_baseline(violations, baseline)
-    assert new == [] and len(grandfathered) == 1
-
-
-def test_baseline_does_not_absorb_new_violations(tmp_path):
-    root = _tree(
-        tmp_path,
-        {"old.py": "import time\n\ndef f():\n    return time.time()\n"},
-    )
-    baseline_path = tmp_path / "baseline.json"
-    lint.write_baseline(
-        lint.lint_tree(root=root, allowlist={}), baseline_path
-    )
-    # A *second* copy of the same pattern is a new violation: baseline
-    # entries absorb matches one-for-one.
-    (root / "old.py").write_text(
-        "import time\n\ndef f():\n    return time.time()\n\n"
-        "def g():\n    return time.time()\n",
-        encoding="utf-8",
-    )
-    violations = lint.lint_tree(root=root, allowlist={})
-    new, grandfathered = lint.split_by_baseline(
-        violations, lint.load_baseline(baseline_path)
-    )
-    assert len(grandfathered) == 1 and len(new) == 1
-
-
-def test_baseline_survives_line_shifts(tmp_path):
-    root = _tree(
-        tmp_path,
-        {"old.py": "import time\n\ndef f():\n    return time.time()\n"},
-    )
-    baseline_path = tmp_path / "baseline.json"
-    lint.write_baseline(
-        lint.lint_tree(root=root, allowlist={}), baseline_path
-    )
-    # Unrelated edits above the violation must not churn the baseline.
-    (root / "old.py").write_text(
-        "import time\n\nPADDING = 1\n\n\ndef f():\n    return time.time()\n",
-        encoding="utf-8",
-    )
-    new, grandfathered = lint.split_by_baseline(
-        lint.lint_tree(root=root, allowlist={}),
-        lint.load_baseline(baseline_path),
-    )
-    assert new == [] and len(grandfathered) == 1
-
-
-def test_missing_baseline_file_is_empty():
-    assert lint.load_baseline(Path("/nonexistent/baseline.json")) == {}
+    assert not any("DET107" in rules for rules in FILE_ALLOWLIST.values())
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +219,13 @@ def test_missing_baseline_file_is_empty():
 
 
 def test_head_tree_is_clean_in_process():
-    """No new violations in the tree as imported (library-level gate)."""
-    new, _grandfathered = lint.split_by_baseline(
-        lint.lint_tree(), lint.load_baseline()
-    )
-    assert new == [], "\n".join(v.render() for v in new)
-
-
-def test_cli_lint_exits_zero_on_head():
-    """`python -m repro lint` is the CI entry point; it must pass."""
-    env = dict(os.environ)
-    src = str(Path(lint.__file__).resolve().parents[3])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "lint: OK" in proc.stdout
-
-
-def test_cli_lint_fails_on_violating_tree(tmp_path):
-    """Exit is non-zero when a violation fixture is in the linted tree."""
-    root = _tree(
-        tmp_path,
-        {"bad.py": "import random\n\ndef f():\n    return random.random()\n"},
-    )
-    code = lint.run_lint(root=root, baseline_path=tmp_path / "none.json")
-    assert code == 1
+    """No DET finding in the tree as imported, not even a grandfathered
+    one: the reasoned baseline holds no determinism entry."""
+    det = [
+        v for v in analyze_graph(ModuleGraph.load())
+        if v.rule.startswith("DET")
+    ]
+    assert det == [], "\n".join(v.render() for v in det)
 
 
 # ---------------------------------------------------------------------------
@@ -355,37 +254,3 @@ def test_obs_wall_clock_ignores_allowlist():
     assert lint.lint_source(
         "import random\n", "obs/export.py", allowed=["DET102"]
     ) == []
-
-
-def test_obs_wall_clock_cannot_be_baselined(tmp_path):
-    """A stale baseline fingerprint must not absorb an unwaivable
-    violation, and --update-baseline refuses to record one."""
-    root = _tree(
-        tmp_path,
-        {"obs/clock.py": "import time\n\ndef f():\n    return time.time()\n"},
-    )
-    violations = lint.lint_tree(root=root, allowlist={})
-    baseline_path = tmp_path / "baseline.json"
-    lint.write_baseline(violations, baseline_path)  # hand-forged baseline
-    new, grandfathered = lint.split_by_baseline(
-        violations, lint.load_baseline(baseline_path)
-    )
-    assert grandfathered == []
-    assert [v.rule for v in new] == ["DET101"]
-    # The CLI update path filters it out and fails the build.
-    code = lint.run_lint(
-        update_baseline=True, root=root, baseline_path=baseline_path
-    )
-    assert code == 1
-    assert lint.load_baseline(baseline_path) == {}
-
-
-def test_unwaivable_rules_lookup():
-    assert "DET101" in lint.unwaivable_rules("obs/spans.py")
-    assert "DET101" in lint.unwaivable_rules("obs/deep/nested.py")
-    assert lint.unwaivable_rules("kernel/cpu.py") == frozenset()
-    # Both nondeterminism-source families are absolute under obs/
-    # (wall clocks and unseeded RNG would both break the dashboard
-    # byte-identity gate); other rules stay waivable.
-    assert "DET102" in lint.unwaivable_rules("obs/spans.py")
-    assert "DET105" not in lint.unwaivable_rules("obs/spans.py")
