@@ -123,9 +123,11 @@ class WeightedFairIOScheduler(IOScheduler):
     finish tag), *not* on the container's CPU ``sched_state`` — disk and
     CPU virtual times advance at unrelated rates and must not mix.  All
     accounting happens at arrival (tags are frozen then), so ``charge``
-    is the base no-op.  Dict iteration order is insertion order, and
-    ties are broken by request arrival sequence, so dispatch is
-    deterministic.
+    is the base no-op.  Each backlogged flow's queue head is mirrored as
+    a ``(finish tag, arrival seq, flow)`` key in ``_heads``, and
+    dispatch takes the smallest: ties on the finish tag go to the
+    earlier arrival, and since arrival sequences are unique the flow id
+    is never compared, so dispatch is deterministic.
     """
 
     name = "wfq"
@@ -134,6 +136,9 @@ class WeightedFairIOScheduler(IOScheduler):
         #: flow id -> FIFO of (start tag, finish tag, request); tags are
         #: per-flow monotone, so each deque's head is its flow's minimum.
         self._queues: "dict[int, deque[tuple[float, float, DiskRequest]]]" = {}
+        #: flow id -> (finish tag, arrival seq, flow id) of its queue's
+        #: head, for every non-empty queue.
+        self._heads: dict[int, tuple[float, int, int]] = {}
         #: flow id -> stride state; pass_value = last assigned finish
         #: tag (persists across idle so a returning flow cannot re-use
         #: virtual time it already consumed).
@@ -165,28 +170,27 @@ class WeightedFairIOScheduler(IOScheduler):
         start_tag = max(state.pass_value, self._vtime)
         finish_tag = start_tag + request.service_us / weight
         state.pass_value = finish_tag
+        if not queue:
+            self._heads[flow] = (finish_tag, request.seq, flow)
         queue.append((start_tag, finish_tag, request))
         self._size += 1
 
     def pop(self, now: float) -> "Optional[DiskRequest]":
-        best_flow = None
-        best_key = None
-        for flow, queue in self._queues.items():
-            if not queue:
-                continue
-            _start, finish_tag, request = queue[0]
-            key = (finish_tag, request.seq)
-            if best_key is None or key < best_key:
-                best_flow, best_key = flow, key
-        if best_flow is None:
+        heads = self._heads
+        if not heads:
             return None
-        queue = self._queues[best_flow]
+        _finish, _seq, flow = min(heads.values())
+        queue = self._queues[flow]
         start_tag, _finish, request = queue.popleft()
         if start_tag > self._vtime:
             self._vtime = start_tag
         self._size -= 1
-        if not queue:
-            del self._queues[best_flow]
+        if queue:
+            _start, finish_tag, head = queue[0]
+            heads[flow] = (finish_tag, head.seq, flow)
+        else:
+            del heads[flow]
+            del self._queues[flow]
         return request
 
     def __len__(self) -> int:

@@ -19,10 +19,13 @@ driven by the scheduler giving it CPU.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.attributes import ContainerAttributes
 from repro.core.container import ResourceContainer
+from repro.core.security import DEFAULT_TRANSFER_RIGHTS, Right, acl_of, check_access
+from repro.fs.handles import OpenFileHandle
 from repro.kernel.descriptors import DescriptorKind
 from repro.kernel.errors import (
     AddressInUseError,
@@ -36,6 +39,7 @@ from repro.kernel.events import ProcessEventQueue
 from repro.kernel.process import ExecPhase, Thread, ThreadState
 from repro.net.tcp import Connection, ListenSocket
 from repro.syscall import api
+from repro.syscall.api import IOEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -142,104 +146,43 @@ class SyscallExecutor:
 
     def entry_cost(self, op: api.Syscall, thread: Thread) -> float:
         """Entry-path CPU cost of a syscall, in microseconds."""
+        cost = _ENTRY_COSTS.get(type(op))
+        if cost is None:
+            raise InvalidArgumentError(f"unknown syscall: {op!r}")
+        return cost(self, op, thread)
+
+    def _compute_cost(self, op: api.Compute, thread: Thread) -> float:
+        if op.us < 0:
+            raise ValueError(f"Compute cost must be >= 0, got {op.us}")
+        return op.us
+
+    def _write_cost(self, op: api.Write, thread: Thread) -> float:
         costs = self.kernel.costs
-        ops = costs.container_ops
-        if isinstance(op, api.Compute):
-            if op.us < 0:
-                raise ValueError(f"Compute cost must be >= 0, got {op.us}")
-            return op.us
-        if isinstance(op, (api.Sleep, api.GetTime, api.Yield, api.Exit)):
-            return 0.0
-        if isinstance(op, api.Socket):
-            return costs.syscall_bind
-        if isinstance(op, api.Bind):
-            return costs.syscall_bind
-        if isinstance(op, api.Listen):
-            return costs.syscall_listen
-        if isinstance(op, api.Accept):
-            return costs.syscall_accept + costs.syscall_socket_alloc
-        if isinstance(op, api.Read):
-            return costs.syscall_read
-        if isinstance(op, api.Write):
-            segments = max(1, -(-op.size_bytes // 1448))
-            return costs.syscall_write_base + costs.proto_tx_segment * segments
-        if isinstance(op, api.Close):
-            # Closing a container descriptor is the Table 1 "destroy
-            # resource container" primitive; other kinds pay the plain
-            # close cost.
-            entry = thread.process.fds.lookup(op.fd)
-            if entry.kind is DescriptorKind.CONTAINER:
-                return ops.destroy
-            return costs.syscall_close
-        if isinstance(op, api.GetPeerName):
-            return 1.0
-        if isinstance(op, api.Select):
-            return costs.syscall_select_base + costs.syscall_select_per_fd * len(
-                op.fds
-            )
-        if isinstance(op, api.EventQueueCreate):
-            return costs.syscall_event_declare
-        if isinstance(op, api.EventDeclare):
-            return costs.syscall_event_declare
-        if isinstance(op, api.EventGet):
-            return costs.syscall_event_get
-        if isinstance(op, api.PipeCreate):
-            return costs.syscall_bind
-        if isinstance(op, api.PipeWrite):
-            return costs.syscall_write_base
-        if isinstance(op, api.PipeRead):
-            return costs.syscall_read
-        if isinstance(op, api.ReadFile):
-            # CPU side only (lookup + copy-out); a miss's extra latency
-            # is disk time, spent blocked, not CPU (see execute()).
-            return self.kernel.fs.read_cpu_cost(op.path)
-        if isinstance(op, api.OpenFile):
-            return costs.syscall_bind
-        if isinstance(op, api.FdReadFile):
-            entry = thread.process.fds.lookup_kind(op.fd, DescriptorKind.FILE)
-            return self.kernel.fs.read_cpu_cost(entry.obj.path)
-        if isinstance(op, api.Fork):
-            return costs.syscall_fork
-        if isinstance(op, api.SpawnThread):
-            return costs.syscall_thread_create
-        if isinstance(op, api.ContainerCreate):
-            return ops.create
-        if isinstance(op, api.ContainerSetParent):
-            return ops.set_parent
-        if isinstance(op, api.ContainerSetAttrs):
-            return ops.set_attributes
-        if isinstance(op, api.ContainerGetAttrs):
-            return ops.get_attributes
-        if isinstance(op, api.ContainerGetUsage):
-            return ops.get_usage
-        if isinstance(op, api.ContainerBindThread):
-            return ops.rebind_thread
-        if isinstance(op, api.ContainerGetBinding):
-            return ops.get_handle
-        if isinstance(op, api.ContainerResetSchedBinding):
-            return ops.reset_scheduler_binding
-        if isinstance(op, api.ContainerBindSocket):
-            return ops.bind_descriptor
-        if isinstance(op, api.ContainerSendTo):
-            return ops.move_between_processes
-        if isinstance(op, api.SendDescriptor):
-            return ops.move_between_processes
-        if isinstance(op, api.ContainerGetHandle):
-            return ops.get_handle
-        if isinstance(op, api.ContainerGrant):
-            return ops.set_attributes
-        raise InvalidArgumentError(f"unknown syscall: {op!r}")
+        segments = max(1, -(-op.size_bytes // 1448))
+        return costs.syscall_write_base + costs.proto_tx_segment * segments
+
+    def _close_cost(self, op: api.Close, thread: Thread) -> float:
+        # Closing a container descriptor is the Table 1 "destroy resource
+        # container" primitive; other kinds pay the plain close cost.
+        if thread.process.fds.lookup(op.fd).kind is DescriptorKind.CONTAINER:
+            return self.kernel.costs.container_ops.destroy
+        return self.kernel.costs.syscall_close
+
+    def _select_cost(self, op: api.Select, thread: Thread) -> float:
+        costs = self.kernel.costs
+        return costs.syscall_select_base + costs.syscall_select_per_fd * len(op.fds)
+
+    def _fd_read_file_cost(self, op: api.FdReadFile, thread: Thread) -> float:
+        entry = thread.process.fds.lookup_kind(op.fd, DescriptorKind.FILE)
+        return self.kernel.fs.read_cpu_cost(entry.obj.path)
 
     def resume_cost(self, op: api.Syscall, thread: Thread) -> float:
         """Return-path CPU cost paid after a wakeup."""
-        costs = self.kernel.costs
         if isinstance(op, api.Select):
             # The kernel re-scans the whole descriptor set on return --
             # the linear overhead inherent to select()'s semantics that
             # the paper blames for Fig. 11's residual slope.
-            return costs.syscall_select_base + costs.syscall_select_per_fd * len(
-                op.fds
-            )
+            return self._select_cost(op, thread)
         return 0.0
 
     # ------------------------------------------------------------------
@@ -248,85 +191,43 @@ class SyscallExecutor:
 
     def execute(self, op: api.Syscall, thread: Thread) -> Any:
         """Entry-phase semantics.  Returns result, _BLOCKED, or _EXIT."""
-        kernel = self.kernel
-        if isinstance(op, api.Compute):
-            return None
-        if isinstance(op, api.GetTime):
-            return kernel.sim.now
-        if isinstance(op, api.Yield):
-            return None
-        if isinstance(op, api.Exit):
-            return _EXIT
-        if isinstance(op, api.Sleep):
-            if op.us < 0:
-                raise InvalidArgumentError(f"negative sleep: {op.us}")
-            self._arm_timer(thread, op.us)
-            return _BLOCKED
-        if isinstance(op, api.Socket):
-            return self._do_socket(thread)
-        if isinstance(op, api.Bind):
-            return self._do_bind(op, thread)
-        if isinstance(op, api.Listen):
-            return self._do_listen(op, thread)
-        if isinstance(op, api.Accept):
-            return self._do_accept(op, thread)
-        if isinstance(op, api.Read):
-            return self._do_read(op, thread)
-        if isinstance(op, api.Write):
-            return self._do_write(op, thread)
-        if isinstance(op, api.Close):
-            return self._do_close(op, thread)
-        if isinstance(op, api.GetPeerName):
-            entry = thread.process.fds.lookup_kind(op.fd, DescriptorKind.SOCKET)
-            return entry.obj.src_addr
-        if isinstance(op, api.Select):
-            return self._do_select(op, thread)
-        if isinstance(op, api.EventQueueCreate):
-            return self._do_evq_create(thread)
-        if isinstance(op, api.EventDeclare):
-            return self._do_evq_declare(op, thread)
-        if isinstance(op, api.EventGet):
-            return self._do_evq_get(op, thread)
-        if isinstance(op, api.SendDescriptor):
-            return self._do_send_descriptor(op, thread)
-        if isinstance(op, api.PipeCreate):
-            return self._do_pipe_create(op, thread)
-        if isinstance(op, api.PipeWrite):
-            return self._do_pipe_write(op, thread)
-        if isinstance(op, api.PipeRead):
-            return self._do_pipe_read(op, thread)
-        if isinstance(op, api.ReadFile):
-            return self._do_file_read(op.path, thread)
-        if isinstance(op, api.OpenFile):
-            kernel.fs.size_of(op.path)  # validates existence (ENOENT)
-            from repro.fs.handles import OpenFileHandle
+        handler = _EXECUTE.get(type(op))
+        if handler is None:
+            return self._execute_container_op(op, thread)
+        return handler(self, op, thread)
 
-            handle = OpenFileHandle(op.path)
-            entry = thread.process.fds.allocate(DescriptorKind.FILE, handle)
-            handle.fd_refs = 1
-            return entry.fd
-        if isinstance(op, api.FdReadFile):
-            entry = thread.process.fds.lookup_kind(op.fd, DescriptorKind.FILE)
-            entry.obj.reads += 1
-            return self._do_file_read(entry.obj.path, thread)
-        if isinstance(op, api.Fork):
-            child = kernel.fork_process(
-                thread,
-                op.child_main,
-                op.name,
-                op.inherit_binding,
-                pass_fds=op.pass_fds,
-            )
-            return child.pid
-        if isinstance(op, api.SpawnThread):
-            new_thread = kernel.spawn_thread(
-                thread.process,
-                op.body_factory(),
-                f"{thread.process.name}:{op.name}",
-                binding=thread.resource_binding,
-            )
-            return new_thread.tid
-        return self._execute_container_op(op, thread)
+    def _do_sleep(self, op: api.Sleep, thread: Thread) -> Any:
+        if op.us < 0:
+            raise InvalidArgumentError(f"negative sleep: {op.us}")
+        self._arm_timer(thread, op.us)
+        return _BLOCKED
+
+    def _do_open_file(self, op: api.OpenFile, thread: Thread) -> int:
+        self.kernel.fs.size_of(op.path)  # validates existence (ENOENT)
+        handle = OpenFileHandle(op.path)
+        entry = thread.process.fds.allocate(DescriptorKind.FILE, handle)
+        handle.fd_refs = 1
+        return entry.fd
+
+    def _do_fd_read_file(self, op: api.FdReadFile, thread: Thread) -> Any:
+        entry = thread.process.fds.lookup_kind(op.fd, DescriptorKind.FILE)
+        entry.obj.reads += 1
+        return self._do_file_read(entry.obj.path, thread)
+
+    def _do_fork(self, op: api.Fork, thread: Thread) -> int:
+        child = self.kernel.fork_process(
+            thread, op.child_main, op.name, op.inherit_binding, pass_fds=op.pass_fds
+        )
+        return child.pid
+
+    def _do_spawn_thread(self, op: api.SpawnThread, thread: Thread) -> int:
+        new_thread = self.kernel.spawn_thread(
+            thread.process,
+            op.body_factory(),
+            f"{thread.process.name}:{op.name}",
+            binding=thread.resource_binding,
+        )
+        return new_thread.tid
 
     def _do_file_read(self, path: str, thread: Thread) -> Any:
         """Shared ReadFile/FdReadFile body: cache lookup, disk on miss.
@@ -362,26 +263,12 @@ class SyscallExecutor:
 
     def resume(self, op: api.Syscall, thread: Thread) -> Any:
         """Post-wakeup semantics: re-check conditions."""
-        if isinstance(op, api.Sleep):
-            return None
-        if isinstance(op, api.ReadFile):
-            return self.kernel.fs.size_of(op.path)
-        if isinstance(op, api.FdReadFile):
-            entry = thread.process.fds.lookup_kind(op.fd, DescriptorKind.FILE)
-            return self.kernel.fs.size_of(entry.obj.path)
-        if isinstance(op, api.Accept):
-            return self._do_accept(op, thread, resumed=True)
-        if isinstance(op, api.Read):
-            return self._do_read(op, thread, resumed=True)
-        if isinstance(op, api.Select):
-            return self._do_select(op, thread, resumed=True)
-        if isinstance(op, api.EventGet):
-            return self._do_evq_get(op, thread, resumed=True)
-        if isinstance(op, api.PipeRead):
-            return self._do_pipe_read(op, thread, resumed=True)
-        raise InvalidArgumentError(
-            f"syscall {type(op).__name__} does not support blocking"
-        )
+        handler = _RESUME.get(type(op))
+        if handler is None:
+            raise InvalidArgumentError(
+                f"syscall {type(op).__name__} does not support blocking"
+            )
+        return handler(self, op, thread)
 
     # ------------------------------------------------------------------
     # Charge overrides (container-bound file descriptors)
@@ -437,7 +324,7 @@ class SyscallExecutor:
     # Sockets
     # ------------------------------------------------------------------
 
-    def _do_socket(self, thread: Thread) -> int:
+    def _do_socket(self, op: api.Socket, thread: Thread) -> int:
         socket = ListenSocket(thread.process, port=0)
         entry = thread.process.fds.allocate(DescriptorKind.LISTEN_SOCKET, socket)
         socket.primary_fd = entry.fd
@@ -608,7 +495,7 @@ class SyscallExecutor:
     # Scalable event API
     # ------------------------------------------------------------------
 
-    def _do_evq_create(self, thread: Thread) -> int:
+    def _do_evq_create(self, op: api.EventQueueCreate, thread: Thread) -> int:
         process = thread.process
         if process.event_queue is None:
             process.event_queue = ProcessEventQueue(f"evq:{process.name}")
@@ -628,8 +515,6 @@ class SyscallExecutor:
         # Level-triggered semantics: if the descriptor is already ready
         # (e.g. the request data raced ahead of accept()), deliver the
         # event now -- otherwise the readiness would be lost forever.
-        from repro.syscall.api import IOEvent
-
         if entry.kind is DescriptorKind.LISTEN_SOCKET and entry.obj.acceptable:
             priority = entry.obj.charge_target().attrs.numeric_priority
             evq.post(IOEvent("acceptable", op.fd, priority=priority))
@@ -660,128 +545,240 @@ class SyscallExecutor:
         entry = thread.process.fds.lookup_kind(fd, DescriptorKind.CONTAINER)
         return entry.obj
 
-    def _execute_container_op(self, op: api.Syscall, thread: Thread) -> Any:
-        from repro.core.security import (
-            DEFAULT_TRANSFER_RIGHTS,
-            Right,
-            acl_of,
-            check_access,
-        )
+    def _checked(
+        self, thread: Thread, fd: Optional[int], right: Right, operation: str,
+        container: Optional[ResourceContainer] = None,
+    ) -> ResourceContainer:
+        """The container behind ``fd`` (or ``container``) once the ACL
+        grants the caller ``right`` for ``operation``."""
+        if container is None:
+            container = self._container_arg(thread, fd)
+        check_access(container, thread.process.pid, right,
+                     enforce=self.kernel.config.container_acl, operation=operation)
+        return container
 
-        kernel = self.kernel
-        if not kernel.config.container_api_enabled:
+    def _parent_arg(self, thread: Thread, fd: Optional[int]):
+        return None if fd is None else self._container_arg(thread, fd)
+
+    def _execute_container_op(self, op: api.Syscall, thread: Thread) -> Any:
+        if not self.kernel.config.container_api_enabled:
             raise ContainerPolicyError(
                 "resource-container API is disabled in this kernel mode"
             )
-        manager = kernel.containers
-        now = kernel.sim.now
-        enforce = kernel.config.container_acl
-        pid = thread.process.pid
-        if isinstance(op, api.ContainerCreate):
-            parent = (
-                self._container_arg(thread, op.parent_fd)
-                if op.parent_fd is not None
-                else None
+        handler = _CONTAINER_OPS.get(type(op))
+        if handler is None:
+            raise InvalidArgumentError(f"unknown syscall: {op!r}")
+        return handler(self, op, thread)
+
+    def _rc_create(self, op: api.ContainerCreate, thread: Thread) -> int:
+        parent = self._parent_arg(thread, op.parent_fd)
+        container = self.kernel.containers.create(
+            op.name, attrs=op.attrs, parent=parent
+        )
+        acl_of(container).owner_pid = thread.process.pid
+        return thread.process.fds.allocate(DescriptorKind.CONTAINER, container).fd
+
+    def _rc_set_parent(self, op: api.ContainerSetParent, thread: Thread) -> None:
+        container = self._checked(thread, op.fd, Right.ADMIN, "set_parent")
+        parent = self._parent_arg(thread, op.parent_fd)
+        self.kernel.containers.set_parent(container, parent)
+
+    def _rc_set_attrs(self, op: api.ContainerSetAttrs, thread: Thread) -> None:
+        if not isinstance(op.attrs, ContainerAttributes):
+            raise InvalidArgumentError("attrs must be ContainerAttributes")
+        container = self._checked(thread, op.fd, Right.ADMIN, "set_attributes")
+        self.kernel.containers.set_attributes(container, op.attrs)
+
+    def _rc_get_attrs(self, op: api.ContainerGetAttrs, thread: Thread) -> Any:
+        container = self._checked(thread, op.fd, Right.OBSERVE, "get_attributes")
+        return self.kernel.containers.get_attributes(container)
+
+    def _rc_get_usage(self, op: api.ContainerGetUsage, thread: Thread) -> Any:
+        container = self._checked(thread, op.fd, Right.OBSERVE, "get_usage")
+        # Observation point: settle batched charges so the snapshot
+        # matches what an unbatched dispatcher would report.
+        self.kernel.cpu.flush_charges()
+        return self.kernel.containers.get_usage(container, recursive=op.recursive)
+
+    def _rc_grant(self, op: api.ContainerGrant, thread: Thread) -> None:
+        container = self._checked(thread, op.fd, Right.ADMIN, "grant")
+        if not isinstance(op.rights, Right):
+            raise InvalidArgumentError("rights must be a Right flag set")
+        acl_of(container).grant(op.target_pid, op.rights)
+
+    def _rc_bind_thread(self, op: api.ContainerBindThread, thread: Thread) -> None:
+        container = self._checked(thread, op.fd, Right.BIND, "bind_thread")
+        if not container.is_leaf:
+            raise ContainerPolicyError(
+                "threads may only be bound to leaf containers "
+                f"({container.name!r} has children)"
             )
-            container = manager.create(op.name, attrs=op.attrs, parent=parent)
-            acl_of(container).owner_pid = pid
-            entry = thread.process.fds.allocate(DescriptorKind.CONTAINER, container)
-            return entry.fd
-        if isinstance(op, api.ContainerSetParent):
-            container = self._container_arg(thread, op.fd)
-            check_access(container, pid, Right.ADMIN, enforce=enforce,
-                         operation="set_parent")
-            parent = (
-                self._container_arg(thread, op.parent_fd)
-                if op.parent_fd is not None
-                else None
-            )
-            manager.set_parent(container, parent)
-            return None
-        if isinstance(op, api.ContainerSetAttrs):
-            if not isinstance(op.attrs, ContainerAttributes):
-                raise InvalidArgumentError("attrs must be ContainerAttributes")
-            container = self._container_arg(thread, op.fd)
-            check_access(container, pid, Right.ADMIN, enforce=enforce,
-                         operation="set_attributes")
-            manager.set_attributes(container, op.attrs)
-            return None
-        if isinstance(op, api.ContainerGetAttrs):
-            container = self._container_arg(thread, op.fd)
-            check_access(container, pid, Right.OBSERVE, enforce=enforce,
-                         operation="get_attributes")
-            return manager.get_attributes(container)
-        if isinstance(op, api.ContainerGetUsage):
-            container = self._container_arg(thread, op.fd)
-            check_access(container, pid, Right.OBSERVE, enforce=enforce,
-                         operation="get_usage")
-            # Observation point: settle batched charges so the snapshot
-            # matches what an unbatched dispatcher would report.
-            self.kernel.cpu.flush_charges()
-            return manager.get_usage(container, recursive=op.recursive)
-        if isinstance(op, api.ContainerGrant):
-            container = self._container_arg(thread, op.fd)
-            check_access(container, pid, Right.ADMIN, enforce=enforce,
-                         operation="grant")
-            if not isinstance(op.rights, Right):
-                raise InvalidArgumentError("rights must be a Right flag set")
-            acl_of(container).grant(op.target_pid, op.rights)
-            return None
-        if isinstance(op, api.ContainerBindThread):
-            container = self._container_arg(thread, op.fd)
-            check_access(container, pid, Right.BIND, enforce=enforce,
-                         operation="bind_thread")
-            if not container.is_leaf:
-                raise ContainerPolicyError(
-                    "threads may only be bound to leaf containers "
-                    f"({container.name!r} has children)"
-                )
-            manager.bindings.bind_thread(thread, container, now)
-            return None
-        if isinstance(op, api.ContainerGetBinding):
-            container = thread.resource_binding
-            if container is None:
-                raise ContainerPolicyError("thread has no resource binding")
-            manager.add_descriptor_ref(container)
-            entry = thread.process.fds.allocate(DescriptorKind.CONTAINER, container)
-            return entry.fd
-        if isinstance(op, api.ContainerResetSchedBinding):
-            thread.scheduler_binding.reset_to(thread.resource_binding, now)
-            return None
-        if isinstance(op, api.ContainerBindSocket):
-            container = self._container_arg(thread, op.container_fd)
-            check_access(container, pid, Right.BIND, enforce=enforce,
-                         operation="bind_socket")
-            entry = thread.process.fds.lookup_kind(
-                op.sock_fd,
-                DescriptorKind.SOCKET,
-                DescriptorKind.LISTEN_SOCKET,
-                DescriptorKind.FILE,
-            )
-            socket = entry.obj
-            old = socket.container
-            container.ref_object_binding()
-            socket.container = container
-            if old is not None:
-                manager.drop_object_binding(old)
-            return None
-        if isinstance(op, api.ContainerSendTo):
-            container = self._container_arg(thread, op.fd)
-            check_access(container, pid, Right.TRANSFER, enforce=enforce,
-                         operation="send_to")
-            target = kernel.processes.get(op.target_pid)
-            if target is None or not target.alive:
-                raise InvalidArgumentError(f"no such process: {op.target_pid}")
-            manager.add_descriptor_ref(container)
-            entry = target.fds.allocate(DescriptorKind.CONTAINER, container)
-            # Receiving a container carries default rights with it.
-            acl_of(container).grant(op.target_pid, DEFAULT_TRANSFER_RIGHTS)
-            return entry.fd
-        if isinstance(op, api.ContainerGetHandle):
-            container = manager.lookup(op.cid)
-            check_access(container, pid, Right.OBSERVE, enforce=enforce,
-                         operation="get_handle")
-            manager.add_descriptor_ref(container)
-            entry = thread.process.fds.allocate(DescriptorKind.CONTAINER, container)
-            return entry.fd
-        raise InvalidArgumentError(f"unknown syscall: {op!r}")
+        now = self.kernel.sim.now
+        self.kernel.containers.bindings.bind_thread(thread, container, now)
+
+    def _rc_get_binding(self, op: api.ContainerGetBinding, thread: Thread) -> int:
+        container = thread.resource_binding
+        if container is None:
+            raise ContainerPolicyError("thread has no resource binding")
+        self.kernel.containers.add_descriptor_ref(container)
+        return thread.process.fds.allocate(DescriptorKind.CONTAINER, container).fd
+
+    def _rc_reset_binding(self, op: api.Syscall, thread: Thread) -> None:
+        thread.scheduler_binding.reset_to(thread.resource_binding, self.kernel.sim.now)
+
+    def _rc_bind_socket(self, op: api.ContainerBindSocket, thread: Thread) -> None:
+        container = self._checked(thread, op.container_fd, Right.BIND, "bind_socket")
+        kinds = DescriptorKind.SOCKET, DescriptorKind.LISTEN_SOCKET, DescriptorKind.FILE
+        socket = thread.process.fds.lookup_kind(op.sock_fd, *kinds).obj
+        old = socket.container
+        container.ref_object_binding()
+        socket.container = container
+        if old is not None:
+            self.kernel.containers.drop_object_binding(old)
+
+    def _rc_send_to(self, op: api.ContainerSendTo, thread: Thread) -> int:
+        container = self._checked(thread, op.fd, Right.TRANSFER, "send_to")
+        target = self.kernel.processes.get(op.target_pid)
+        if target is None or not target.alive:
+            raise InvalidArgumentError(f"no such process: {op.target_pid}")
+        self.kernel.containers.add_descriptor_ref(container)
+        entry = target.fds.allocate(DescriptorKind.CONTAINER, container)
+        # Receiving a container carries default rights with it.
+        acl_of(container).grant(op.target_pid, DEFAULT_TRANSFER_RIGHTS)
+        return entry.fd
+
+    def _rc_get_handle(self, op: api.ContainerGetHandle, thread: Thread) -> int:
+        container = self._checked(thread, None, Right.OBSERVE, "get_handle",
+                                  self.kernel.containers.lookup(op.cid))
+        self.kernel.containers.add_descriptor_ref(container)
+        return thread.process.fds.allocate(DescriptorKind.CONTAINER, container).fd
+
+
+# Dispatch tables, keyed by the syscall record's exact type.
+
+
+def _cost(path: str):
+    """Entry cost read from the kernel's cost model at ``path``."""
+    read = operator.attrgetter(path)
+    return lambda executor, op, thread: read(executor.kernel.costs)
+
+
+def _constant(value):
+    return lambda executor, op, thread: value
+
+
+_ENTRY_COSTS = {
+    api.Compute: SyscallExecutor._compute_cost,
+    api.Sleep: _constant(0.0),
+    api.GetTime: _constant(0.0),
+    api.Yield: _constant(0.0),
+    api.Exit: _constant(0.0),
+    api.Socket: _cost("syscall_bind"),
+    api.Bind: _cost("syscall_bind"),
+    api.Listen: _cost("syscall_listen"),
+    api.Accept: lambda executor, op, thread: (
+        executor.kernel.costs.syscall_accept
+        + executor.kernel.costs.syscall_socket_alloc
+    ),
+    api.Read: _cost("syscall_read"),
+    api.Write: SyscallExecutor._write_cost,
+    api.Close: SyscallExecutor._close_cost,
+    api.GetPeerName: _constant(1.0),
+    api.Select: SyscallExecutor._select_cost,
+    api.EventQueueCreate: _cost("syscall_event_declare"),
+    api.EventDeclare: _cost("syscall_event_declare"),
+    api.EventGet: _cost("syscall_event_get"),
+    api.PipeCreate: _cost("syscall_bind"),
+    api.PipeWrite: _cost("syscall_write_base"),
+    api.PipeRead: _cost("syscall_read"),
+    # CPU side only (lookup + copy-out); a miss's extra latency is disk
+    # time, spent blocked, not CPU (see SyscallExecutor._do_file_read).
+    api.ReadFile: lambda executor, op, thread: (
+        executor.kernel.fs.read_cpu_cost(op.path)
+    ),
+    api.OpenFile: _cost("syscall_bind"),
+    api.FdReadFile: SyscallExecutor._fd_read_file_cost,
+    api.Fork: _cost("syscall_fork"),
+    api.SpawnThread: _cost("syscall_thread_create"),
+    api.ContainerCreate: _cost("container_ops.create"),
+    api.ContainerSetParent: _cost("container_ops.set_parent"),
+    api.ContainerSetAttrs: _cost("container_ops.set_attributes"),
+    api.ContainerGetAttrs: _cost("container_ops.get_attributes"),
+    api.ContainerGetUsage: _cost("container_ops.get_usage"),
+    api.ContainerBindThread: _cost("container_ops.rebind_thread"),
+    api.ContainerGetBinding: _cost("container_ops.get_handle"),
+    api.ContainerResetSchedBinding: _cost("container_ops.reset_scheduler_binding"),
+    api.ContainerBindSocket: _cost("container_ops.bind_descriptor"),
+    api.ContainerSendTo: _cost("container_ops.move_between_processes"),
+    api.SendDescriptor: _cost("container_ops.move_between_processes"),
+    api.ContainerGetHandle: _cost("container_ops.get_handle"),
+    api.ContainerGrant: _cost("container_ops.set_attributes"),
+}
+
+#: Entry-phase handlers; a type missing here is a container operation
+#: (or unknown), see ``SyscallExecutor._execute_container_op``.
+_EXECUTE = {
+    api.Compute: _constant(None),
+    api.GetTime: lambda executor, op, thread: executor.kernel.sim.now,
+    api.Yield: _constant(None),
+    api.Exit: lambda executor, op, thread: _EXIT,
+    api.Sleep: SyscallExecutor._do_sleep,
+    api.Socket: SyscallExecutor._do_socket,
+    api.Bind: SyscallExecutor._do_bind,
+    api.Listen: SyscallExecutor._do_listen,
+    api.Accept: SyscallExecutor._do_accept,
+    api.Read: SyscallExecutor._do_read,
+    api.Write: SyscallExecutor._do_write,
+    api.Close: SyscallExecutor._do_close,
+    api.GetPeerName: lambda executor, op, thread: thread.process.fds.lookup_kind(
+        op.fd, DescriptorKind.SOCKET
+    ).obj.src_addr,
+    api.Select: SyscallExecutor._do_select,
+    api.EventQueueCreate: SyscallExecutor._do_evq_create,
+    api.EventDeclare: SyscallExecutor._do_evq_declare,
+    api.EventGet: SyscallExecutor._do_evq_get,
+    api.SendDescriptor: SyscallExecutor._do_send_descriptor,
+    api.PipeCreate: SyscallExecutor._do_pipe_create,
+    api.PipeWrite: SyscallExecutor._do_pipe_write,
+    api.PipeRead: SyscallExecutor._do_pipe_read,
+    api.ReadFile: lambda executor, op, thread: executor._do_file_read(op.path, thread),
+    api.OpenFile: SyscallExecutor._do_open_file,
+    api.FdReadFile: SyscallExecutor._do_fd_read_file,
+    api.Fork: SyscallExecutor._do_fork,
+    api.SpawnThread: SyscallExecutor._do_spawn_thread,
+}
+
+_CONTAINER_OPS = {
+    api.ContainerCreate: SyscallExecutor._rc_create,
+    api.ContainerSetParent: SyscallExecutor._rc_set_parent,
+    api.ContainerSetAttrs: SyscallExecutor._rc_set_attrs,
+    api.ContainerGetAttrs: SyscallExecutor._rc_get_attrs,
+    api.ContainerGetUsage: SyscallExecutor._rc_get_usage,
+    api.ContainerGrant: SyscallExecutor._rc_grant,
+    api.ContainerBindThread: SyscallExecutor._rc_bind_thread,
+    api.ContainerGetBinding: SyscallExecutor._rc_get_binding,
+    api.ContainerResetSchedBinding: SyscallExecutor._rc_reset_binding,
+    api.ContainerBindSocket: SyscallExecutor._rc_bind_socket,
+    api.ContainerSendTo: SyscallExecutor._rc_send_to,
+    api.ContainerGetHandle: SyscallExecutor._rc_get_handle,
+}
+
+
+def _resumed(handler):
+    """``handler`` re-run after a wakeup (its ``resumed`` flag set)."""
+    return lambda executor, op, thread: handler(executor, op, thread, resumed=True)
+
+
+#: Post-wakeup handlers: only the syscalls that can block.
+_RESUME = {
+    api.Sleep: _constant(None),
+    api.ReadFile: lambda executor, op, thread: executor.kernel.fs.size_of(op.path),
+    api.FdReadFile: lambda executor, op, thread: executor.kernel.fs.size_of(
+        thread.process.fds.lookup_kind(op.fd, DescriptorKind.FILE).obj.path
+    ),
+    api.Accept: _resumed(SyscallExecutor._do_accept),
+    api.Read: _resumed(SyscallExecutor._do_read),
+    api.Select: _resumed(SyscallExecutor._do_select),
+    api.EventGet: _resumed(SyscallExecutor._do_evq_get),
+    api.PipeRead: _resumed(SyscallExecutor._do_pipe_read),
+}

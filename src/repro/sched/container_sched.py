@@ -78,6 +78,15 @@ entries take the heap walk.  Both paths are fuzzed against
 written from the key above; it also reproduces the seeded schedule
 digest when the kernel runs it in place of this class.
 
+On a uniprocessor the common case is narrower still: the entity whose
+slice just ended is the only candidate.  Then :meth:`on_slice_end`
+*parks* it instead of queueing it, and the next pick, on a clean shard
+with no volatile ready, fuses "insert, then take the direct path"
+(:meth:`_pick_parked`), skipping the index round trip.  Every other
+path that reads or writes the index unparks it first (:meth:`_unpark`),
+so each sees the index it would have seen; a capped or excluded winner
+is unparked and takes the full pick.
+
 Stale index entries are never searched for.  Mutations that can move an
 *existing* entity's placement key (reparent, attribute replacement)
 bump the global hierarchy *shape* epoch and the scheduler rebuilds its
@@ -115,6 +124,10 @@ def _node_state(container: ResourceContainer) -> SchedulerNodeState:
 def _push_notify(entity: Schedulable) -> bool:
     """True if the entity promises change notifications (indexable)."""
     return bool(getattr(entity, "sched_push_notify", False))
+
+
+#: :meth:`ContainerScheduler._pick_parked`'s "unpark, take the full pick".
+_FULL_PICK = object()
 
 
 class _ReadyShard:
@@ -189,8 +202,6 @@ class ContainerScheduler(Scheduler):
         #: Memoized (fixed_total, ts_total) over the root's children, so
         #: a weight fill is O(1) instead of O(siblings) per group.
         self._wtotals: Optional[tuple] = None
-        #: id(entity) -> entity, for every attached entity.
-        self._by_eid: dict[int, Schedulable] = {}
         #: id(entity) -> memoized ``_entity_parts`` of a push-notify
         #: entity; dropped on its change notification and detach, and
         #: flushed whole with the full epoch (which also covers a
@@ -220,17 +231,27 @@ class ContainerScheduler(Scheduler):
         self._layer_counts: dict[int, int] = {}
         #: gkey -> pinned shard for capped groups (kept co-located).
         self._group_home: dict[int, int] = {}
+        #: The parked winner (one CPU only): an entity ``on_slice_end``
+        #: left out of an otherwise empty index instead of queueing it;
+        #: see :meth:`_pick_parked` and :meth:`_unpark`.
+        self._parked: Optional[Schedulable] = None
+        # That makes 29 instance attributes with the kernel's ``trace``.
+        # On CPython 3.11 a 30th takes instances off shared-key inline
+        # values, and every attribute load here slows by ~15% (the
+        # spinner workload read +5% wall): fold new state into an
+        # existing field instead.
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
 
     def on_attach(self, entity: Schedulable) -> None:
+        if self._parked is not None:
+            self._unpark()
         eid = id(entity)
         self._last_ran[eid] = 0
         self._attach_seq += 1
         self._order[eid] = self._attach_seq
-        self._by_eid[eid] = entity
         if _push_notify(entity):
             self._install_hooks(entity)
             self._sync_epoch()  # may already index us via a rebuild
@@ -240,11 +261,12 @@ class ContainerScheduler(Scheduler):
             self._ready[eid] = entity
 
     def detach(self, entity: Schedulable) -> None:
+        if self._parked is not None:
+            self._unpark()
         super().detach(entity)
         eid = id(entity)
         self._last_ran.pop(eid, None)
         self._order.pop(eid, None)
-        self._by_eid.pop(eid, None)
         self._parts.pop(eid, None)
         self._pos_drop(eid)
         self._home.pop(eid, None)
@@ -275,6 +297,8 @@ class ContainerScheduler(Scheduler):
     def note_container_destroyed(self, container: ResourceContainer) -> None:
         """Manager ``on_destroy`` hook: evict the dead container's
         memos so leaf churn cannot accrete entries between rebuilds."""
+        if self._parked is not None:
+            self._unpark()
         cid = container.cid
         self._groups.pop(cid, None)
         self._weights.pop(cid, None)
@@ -300,6 +324,8 @@ class ContainerScheduler(Scheduler):
         epoch = hierarchy_epoch()
         if epoch == self._epoch:
             return
+        if self._parked is not None:
+            self._unpark()  # queued under the parts it was parked with
         self._epoch = epoch
         self._weights.clear()
         self._wtotals = None
@@ -391,6 +417,8 @@ class ContainerScheduler(Scheduler):
         return best
 
     def _index_insert(self, entity: Schedulable) -> None:
+        if self._parked is not None:
+            self._unpark()
         eid = id(entity)
         parts = self._parts.get(eid)
         if parts is None:
@@ -441,6 +469,8 @@ class ContainerScheduler(Scheduler):
         eid = id(entity)
         if eid not in self._order:
             return
+        if self._parked is not None:
+            self._unpark()  # before its memoized parts are dropped
         self._parts.pop(eid, None)
         self._sync_epoch()
         if not entity.runnable:
@@ -467,6 +497,7 @@ class ContainerScheduler(Scheduler):
             entity.runnable
             and eid not in self._active
             and self._pos.get(eid) is None
+            and entity is not self._parked  # already queued, virtually
         ):
             self._index_insert(entity)
 
@@ -580,6 +611,17 @@ class ContainerScheduler(Scheduler):
         self, now: float, cpu: int, exclude: Optional[set] = None
     ) -> Optional[Schedulable]:
         self._sync_epoch()
+        parked = self._parked
+        if parked is not None:
+            shard = self._shards[cpu]
+            # A clean shard (no dead entries; gpos is empty whenever
+            # layer_heaps is) and no volatile to weigh: the pick would
+            # insert the parked winner and take the direct path.
+            if not (self._ready or shard.buckets or shard.layer_heaps):
+                picked = self._pick_parked(parked, cpu, exclude)
+                if picked is not _FULL_PICK:
+                    return picked
+            self._unpark()
         deferred: list[tuple] = []
         best: Optional[Schedulable] = None
         best_key: Optional[tuple] = None
@@ -711,8 +753,71 @@ class ContainerScheduler(Scheduler):
         if eid not in self._order or not _push_notify(entity):
             return  # detached mid-slice, or volatile (never indexed)
         self._sync_epoch()
-        if entity.runnable and self._pos.get(eid) is None:
+        if not entity.runnable:
+            return
+        if self._pos:  # then nothing is parked: inserts unpark first
+            if eid not in self._pos:
+                self._index_insert(entity)
+        elif self._parked is None and not self._ready and self.n_cpus == 1:
+            # Alone in the index: park instead of queueing (see
+            # _pick_parked), with the parts an insert would memoize.
+            if eid not in self._parts:
+                self._parts[eid] = self._entity_parts(entity)
+            self._parked = entity
+        elif self._parked is not entity:
             self._index_insert(entity)
+
+    def _unpark(self) -> None:
+        """Queue the parked winner for real, as :meth:`on_slice_end`
+        would have.  Every path that reads or writes the index calls
+        this first, so each sees the index it would have seen.  (The
+        group snapshot it pushes may carry a pass charged since the
+        park; passes only grow, so it still understates the live value,
+        which is all the lazy group heap needs.)"""
+        entity = self._parked
+        self._parked = None
+        self._index_insert(entity)
+
+    def _pick_parked(
+        self, entity: Schedulable, cpu: int, exclude: Optional[set]
+    ) -> Optional[Schedulable]:
+        """:meth:`pick_for_cpu` on a clean shard with nothing ready but
+        the parked winner: "insert it, then take the direct path" fused.
+
+        The effects are those of :meth:`_index_insert` followed by
+        :meth:`_sole_candidate` and the win (or the retirement), net of
+        the entries the direct path clears again: a runnable winner
+        gets its pick stamp, goes active, and its group takes the
+        virtual-time clamp; a blocked one is retired and nothing is
+        picked.  An excluded or capped winner would stay queued: that
+        returns ``_FULL_PICK``, and the caller unparks it and takes the
+        full pick.
+        """
+        eid = id(entity)
+        priority, gkey, group = self._parts[eid]
+        runnable = entity.runnable
+        if runnable:
+            if exclude is not None and eid in exclude:
+                return _FULL_PICK
+            container = entity.charge_container()
+            if container is not None and self._capped(container):
+                return _FULL_PICK
+        self._parked = None
+        self._home[eid] = cpu
+        self._layer_counts.setdefault(priority, 0)
+        if gkey is not None:
+            self._groups[gkey] = group
+        if not runnable:
+            return None
+        self._pick_seq += 1
+        self._last_ran[eid] = self._pick_seq
+        self._active[eid] = cpu
+        self._active_count[cpu] += 1
+        if group is not None:
+            state = _node_state(group)
+            state.pass_value = max(state.pass_value, self._group_vtime)
+            self._group_vtime = state.pass_value
+        return entity
 
     def _requeue_deferred(self, deferred: list) -> None:
         """Put capped/excluded entities back; refresh displaced heads."""
@@ -775,7 +880,7 @@ class ContainerScheduler(Scheduler):
             if group is None:
                 del shard.gpos[bkey]  # as the walk drops the group entry
                 return None
-        entity = self._by_eid[eid]
+        entity = self._entities[eid]
         if not entity.runnable:
             self._pos_drop(eid)
             _clear_shard(shard)
@@ -913,7 +1018,7 @@ class ContainerScheduler(Scheduler):
                 heapq.heapreplace(heap, corrected)
                 continue
             key = (-priority, pass_value, stamp, order)
-            return (key, self._by_eid[eid], group, bkey)
+            return (key, self._entities[eid], group, bkey)
         return None
 
     def _none_candidate(
@@ -926,7 +1031,7 @@ class ContainerScheduler(Scheduler):
             return None
         stamp, order, eid = head
         key = (-1, self._group_vtime, stamp, order)
-        return (key, self._by_eid[eid], None, (1, None))
+        return (key, self._entities[eid], None, (1, None))
 
     def _effective_head(
         self,
@@ -952,7 +1057,7 @@ class ContainerScheduler(Scheduler):
             if self._pos.get(eid) != (sidx, priority, gkey, stamp):
                 heapq.heappop(bucket)
                 continue
-            entity = self._by_eid.get(eid)
+            entity = self._entities.get(eid)
             if entity is None or not entity.runnable:
                 heapq.heappop(bucket)
                 self._pos_drop(eid)
@@ -1014,5 +1119,7 @@ class ContainerScheduler(Scheduler):
 
     def queued_on(self, cpu: int) -> int:
         """Live ready-index entries homed on one shard (tests/metrics)."""
+        if self._parked is not None:
+            self._unpark()
         return self._shards[cpu].queued
 

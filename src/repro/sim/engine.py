@@ -126,17 +126,28 @@ class Simulation:
 
     def at(self, when: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback`` at absolute simulated time ``when``."""
-        if when < self.clock.now:
+        now = self.clock._now
+        if when == now:
+            return self.queue.schedule_now(when, callback, *args)
+        if when < now:
             raise ValueError(
-                f"cannot schedule into the past: now={self.clock.now}, when={when}"
+                f"cannot schedule into the past: now={now}, when={when}"
             )
         return self.queue.schedule(when, callback, *args)
 
     def after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback`` after ``delay`` microseconds."""
+        """Schedule ``callback`` after ``delay`` microseconds.
+
+        A zero delay goes through :meth:`EventQueue.schedule_now`: run
+        from an event callback, it may take the queue's tail slot and
+        run straight after that callback, in the same ``(when, seq)``
+        order the heap would give it.
+        """
+        if delay == 0.0:
+            return self.queue.schedule_now(self.clock._now, callback, *args)
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.queue.schedule(self.clock.now + delay, callback, *args)
+        return self.queue.schedule(self.clock._now + delay, callback, *args)
 
     def cancel(self, event: Event, seq: Optional[int] = None) -> None:
         """Cancel a pending event.

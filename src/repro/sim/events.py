@@ -8,7 +8,13 @@ and every comparison is a C-level tuple compare.
 
 Cancellation is lazy with periodic compaction, and ``Event`` objects are
 never recycled: a handle keeps reporting ``pending`` truthfully for as
-long as its holder keeps it.  See ``docs/ENGINE.md``.
+long as its holder keeps it.
+
+While :meth:`EventQueue.dispatch_batch` runs, one zero-delay event
+(:meth:`EventQueue.schedule_now`) may wait in a *tail slot* instead of
+the heap.  It takes its ``seq`` from the same counter, and the loop
+runs it next only if it sorts first in ``(when, seq)``; otherwise it
+enters the heap.  See ``docs/ENGINE.md``.
 """
 
 from __future__ import annotations
@@ -78,6 +84,13 @@ class EventQueue:
         #: Cancelled-but-still-heaped entries (fired ones leave on pop).
         self._dead = 0
         self._compact_min_dead = COMPACT_MIN_DEAD
+        #: The zero-delay entry scheduled by the running callback, held
+        #: out of the heap until that callback returns (see
+        #: :meth:`schedule_now`); None when empty.
+        self._tail: Optional[tuple[float, int, Event]] = None
+        #: True while :meth:`dispatch_batch` runs: only then may the
+        #: tail slot fill.
+        self._batching = False
         self.compactions = 0
         #: Cancels ignored because the handle's sequence did not match.
         self.stale_cancels = 0
@@ -97,6 +110,33 @@ class EventQueue:
         heapq.heappush(self._heap, (when, seq, event))
         return event
 
+    def schedule_now(
+        self, when: float, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        """:meth:`schedule` for an event due at the current instant.
+
+        Inside :meth:`dispatch_batch`, the first such event a callback
+        schedules fills the tail slot instead of the heap, and the loop
+        takes it with one ``heappushpop`` once the callback returns:
+        when nothing in the heap sorts before it, it runs next without
+        a heap push or pop.  Anywhere else this is :meth:`schedule`.
+        """
+        if self._tail is not None or not self._batching:
+            return self.schedule(when, callback, *args)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(when, seq, callback, args)
+        self._live += 1
+        self._tail = (when, seq, event)
+        return event
+
+    def _flush_tail(self) -> None:
+        """Move a waiting tail entry into the heap."""
+        tail = self._tail
+        if tail is not None:
+            self._tail = None
+            heapq.heappush(self._heap, tail)
+
     def cancel(self, event: Event, seq: Optional[int] = None) -> None:
         """Cancel a pending event (lazy removal from the heap).
 
@@ -111,6 +151,10 @@ class EventQueue:
         if not event.cancelled and not event.fired:
             event.cancelled = True
             self._live -= 1
+            tail = self._tail
+            if tail is not None and tail[2] is event:
+                self._tail = None  # never heaped: nothing dead to skip
+                return
             self._dead += 1
             if self._dead > self._live and self._dead >= self._compact_min_dead:
                 self._compact()
@@ -123,6 +167,7 @@ class EventQueue:
         self.compactions += 1
 
     def _drop_dead(self) -> None:
+        self._flush_tail()
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
@@ -168,7 +213,8 @@ class EventQueue:
 
         The engine's hot loop, hosted by the queue so every per-event
         step runs on hoisted locals.  Dispatch order, clock updates, and
-        stop semantics are identical to calling ``pop_due`` in a loop.
+        stop semantics are identical to calling ``pop_due`` in a loop,
+        tail slot included: the tail is empty whenever the loop exits.
         Increments ``sim._events_dispatched`` (even on a callback
         exception) and returns ``(next_time, drained)``:
 
@@ -177,19 +223,29 @@ class EventQueue:
         * ``(None, False)`` -- ``limit`` reached or ``sim.stop()``.
         """
         pop = heapq.heappop
+        pushpop = heapq.heappushpop
         bound = float("inf") if until is None else until
         dispatched = 0
+        self._batching = True
         try:
             while dispatched < limit:
                 # Re-read per event: a callback's cancel can trigger
                 # _compact(), which rebinds self._heap to a fresh list.
                 heap = self._heap
-                if not heap:
-                    return None, True
-                # Pop first and push back on the (once per run) bound
-                # hit: keys are unique, so the pop order never depends
-                # on the heap's internal layout.
-                entry = pop(heap)
+                entry = self._tail
+                if entry is None:
+                    if not heap:
+                        return None, True
+                    # Pop first and push back on the (once per run)
+                    # bound hit: keys are unique, so the pop order
+                    # never depends on the heap's internal layout.
+                    entry = pop(heap)
+                else:
+                    # The last callback's zero-delay event: returned as
+                    # is when no heap entry sorts before it, else it
+                    # takes the head's place and the head comes out.
+                    self._tail = None
+                    entry = pushpop(heap, entry)
                 when, _seq, event = entry
                 if event.cancelled:
                     self._dead -= 1
@@ -210,4 +266,9 @@ class EventQueue:
                     break
             return None, False
         finally:
+            # stop(), the limit and a raising callback leave with the
+            # tail possibly filled; in the heap, its (when, seq) puts it
+            # exactly where it would have been.
+            self._batching = False
+            self._flush_tail()
             sim._events_dispatched += dispatched

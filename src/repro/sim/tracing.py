@@ -40,6 +40,11 @@ class TraceBus:
     category, not once per publish.  ``subscribe`` invalidates the memo
     (categories are few, handlers subscribe rarely, publishes are
     millions).
+
+    :attr:`active` is a plain attribute, read before every publish in
+    the instrumented code; :meth:`subscribe`, :meth:`record` and
+    :meth:`stop_recording` keep it equal to "any subscriber or recorder
+    is attached".
     """
 
     def __init__(self) -> None:
@@ -50,11 +55,8 @@ class TraceBus:
         self._match_cache: dict[str, tuple] = {}
         #: category -> whether the active recording captures it.
         self._record_match_cache: dict[str, bool] = {}
-
-    @property
-    def active(self) -> bool:
-        """True if any subscriber or recorder is attached."""
-        return bool(self._subscribers) or self._recording is not None
+        #: True if any subscriber or recorder is attached.
+        self.active = False
 
     def subscribe(
         self, category: str, handler: Callable[[TraceRecord], None]
@@ -67,6 +69,7 @@ class TraceBus:
         """
         self._subscribers.setdefault(category, []).append(handler)
         self._match_cache.clear()
+        self.active = True
 
     def record(self, categories: Iterable[str] | None = None) -> list[TraceRecord]:
         """Start recording matching records into a list, and return it.
@@ -78,6 +81,7 @@ class TraceBus:
         self._recording = []
         self._record_categories = set(categories) if categories is not None else None
         self._record_match_cache.clear()
+        self.active = True
         return self._recording
 
     def stop_recording(self) -> list[TraceRecord]:
@@ -86,6 +90,7 @@ class TraceBus:
         self._recording = None
         self._record_categories = None
         self._record_match_cache.clear()
+        self.active = bool(self._subscribers)
         return captured
 
     def publish(self, time: float, category: str, **data: Any) -> None:

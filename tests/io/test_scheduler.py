@@ -1,5 +1,7 @@
 """I/O scheduling disciplines: FIFO order and weighted fairness."""
 
+import random
+
 import pytest
 
 from repro.core.attributes import timeshare_attrs
@@ -185,3 +187,46 @@ def test_wfq_isolation_on_device():
     service = DEFAULT_COSTS.disk_seek_us + 8 * DEFAULT_COSTS.disk_transfer_per_kb_us
     assert fifo_wait == pytest.approx(12 * service)  # behind all 12 hogs
     assert wfq_wait == pytest.approx(service)  # behind only the in-flight one
+
+
+def _full_scan_head(scheduler):
+    """The request the old dispatch rule picks: a scan of every flow's
+    queue head for the smallest (finish tag, arrival seq)."""
+    best = None
+    for queue in scheduler._queues.values():
+        _start, finish_tag, request = queue[0]
+        if best is None or (finish_tag, request.seq) < best[0]:
+            best = ((finish_tag, request.seq), request)
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_wfq_heads_match_the_full_scan(seed):
+    """Seeded arrivals and pops: every dispatch equals the full-scan
+    rule's.  Equal sizes and weights make equal finish tags common, so
+    the arrival-sequence tie-break is exercised too."""
+    rng = random.Random(seed)
+    manager = ContainerManager()
+    owners = [None] + [
+        manager.create(f"f{i}", attrs=timeshare_attrs(weight=rng.choice([1.0, 2.0])))
+        for i in range(6)
+    ]
+    scheduler = WeightedFairIOScheduler()
+    rid = 0
+    ties = 0
+    for _step in range(400):
+        if rng.random() < 0.55:
+            rid += 1
+            size = rng.choice([1024, 1024, 4096])
+            scheduler.add(_request(rid, rng.choice(owners), size=size), 0.0)
+            continue
+        finish_tags = [queue[0][1] for queue in scheduler._queues.values()]
+        ties += len(finish_tags) - len(set(finish_tags))
+        want = _full_scan_head(scheduler)
+        assert scheduler.pop(0.0) is want
+        assert set(scheduler._heads) == set(scheduler._queues)
+    while len(scheduler):
+        want = _full_scan_head(scheduler)
+        assert scheduler.pop(0.0) is want
+    assert scheduler.pop(0.0) is None and not scheduler._heads
+    assert ties > 0

@@ -8,6 +8,10 @@ oracle's docstring), and compares every pick on every core and the
 final ``steals``.  Pass values and pick stamps are each scheduler's own;
 the window ledgers are shared, so after every production window roll
 the world checks the whole tree was reset before the oracle rolls.
+Between a slice's end and the next pick the world may also wake, block
+or rebind the entity that just ran, or apply any other mutation: on one
+CPU with nothing else queued, that is the window in which production
+holds the winner parked instead of queued.
 
 The scripted tests below pin production's lazy index on states the
 oracle has no notion of (dead entries, shard queue counts, the volatile
@@ -91,6 +95,8 @@ class World:
         self.running = {}
         #: Whether each pick found production's direct-pick condition.
         self.direct = set()
+        #: Picks that found production holding a parked winner.
+        self.parked = 0
 
     def bindable(self):
         return self.containers + [c for c in self.spawned if c.alive]
@@ -142,7 +148,7 @@ class World:
     def end_slice(self, cpu, now, block):
         entity = self.running.pop(cpu, None)
         if entity is None:
-            return
+            return None
         container = entity.charge_container()
         if container is not None:
             container.charge_cpu(QUANTUM_US)
@@ -151,12 +157,31 @@ class World:
             sched.on_slice_end(entity, now)
         if block:
             entity.runnable = False
+        return entity
+
+    def between(self, entity, rng, now):
+        """One mutation between a slice's end and the next pick: the
+        entity that just ran wakes, blocks (still right after its
+        ``on_slice_end``) or is rebound, or anything else happens."""
+        roll = rng.random()
+        if entity is None or roll < 0.25:
+            self.apply(_random_op(rng), now)
+        elif roll < 0.5:
+            entity.runnable = True
+            for sched in (self.sched, self.oracle):
+                sched.on_wakeup(entity, now)
+        elif roll < 0.75:
+            entity.runnable = False
+        elif entity in self.indexed:
+            pool = self.bindable()
+            entity.container = pool[rng.randrange(len(pool))]
 
     def pick(self, cpu, now, extra_exclude):
         exclude = {id(e) for e in self.running.values()}
         if extra_exclude is not None:
             exclude.add(id(self.entities[extra_exclude % len(self.entities)]))
         self.direct.add(self.sched._sole_live_entry_here(cpu))
+        self.parked += self.sched._parked is not None
         want = self.oracle.pick_for_cpu(now, cpu, exclude)  # placement pre-pick
         got = self.sched.pick_for_cpu(now, cpu, exclude)
         assert got is want, (getattr(got, "name", None), getattr(want, "name", None))
@@ -211,7 +236,9 @@ def test_production_matches_oracle(n_cpus, n_indexed, n_volatile, seed):
         for _ in range(rng.randrange(4)):
             world.apply(_random_op(rng), now)
         for cpu in range(n_cpus):
-            world.end_slice(cpu, now, block=rng.random() < 0.3)
+            ended = world.end_slice(cpu, now, block=rng.random() < 0.3)
+            while rng.random() < 0.3:
+                world.between(ended, rng, now)
             extra = rng.randrange(1_000) if rng.random() < 0.2 else None
             picks += world.pick(cpu, now, extra) is not None
         now += QUANTUM_US
@@ -220,6 +247,9 @@ def test_production_matches_oracle(n_cpus, n_indexed, n_volatile, seed):
     # The direct pick ran, and so did the heap walk when it can.
     assert True in world.direct
     assert False in world.direct or n_indexed == 1
+    # Winners park on one CPU only, and a lone indexed entity does.
+    assert world.parked == 0 or n_cpus == 1
+    assert world.parked > 0 or n_cpus > 1 or n_indexed > 1
 
 
 def _one_entry_world(n_cpus=1):

@@ -24,15 +24,24 @@ CPU miss penalty in favour of an asynchronous device phase, and the
 event-driven server now serves static files through container-bound
 descriptors (an extra OpenFile/ContainerBindSocket per class) -- both
 deliberately reshape the schedule, so the old digest could not survive.
+
+The mixed run rarely leaves one thread alone in the ready index, so a
+second digest covers the disk-isolation setup (one CPU, weighted-fair
+disk queue, no flood), where the event-driven server is usually the
+only runnable thread and production parks it between its slices (see
+``ContainerScheduler._pick_parked``): production and the oracle must
+hash equal there too.
 """
 
 import hashlib
 from typing import Optional
 
 from repro import Host, SystemMode, ip_addr
-from repro.apps.httpserver import CgiPolicy, EventDrivenServer
+from repro.apps.httpserver import CgiPolicy, EventDrivenServer, ListenSpec
 from repro.apps.synflood import SynFlooder
 from repro.apps.webclient import HttpClient
+from repro.experiments import fig_disk_isolation as disk
+from repro.experiments.common import make_host
 from repro.kernel.kernel import KernelConfig
 from tests.sched.oracle import ReferenceScheduler
 
@@ -79,6 +88,10 @@ def scheduling_digest(
     )
     flooder.start(at_us=80_000.0)
     host.run(seconds=0.4)
+    return _slice_digest(records)
+
+
+def _slice_digest(records) -> str:
     digest = hashlib.sha256()
     for record in records:
         line = (
@@ -90,6 +103,60 @@ def scheduling_digest(
     return digest.hexdigest()
 
 
+def _reference_factory(kernel):
+    return ReferenceScheduler(
+        kernel.containers.root,
+        quantum_us=kernel.config.quantum_us,
+        window_us=kernel.config.window_us,
+    )
+
+
+def disk_isolation_digest(seed: int = 51, scheduler_factory=None) -> tuple:
+    """(digest of every CPU slice, picks, picks served by the parked
+    winner) of the disk-isolation point: a premium client against
+    eight cache-defeating antagonists under the weighted-fair queue."""
+    config = KernelConfig(
+        io_scheduler="wfq",
+        buffer_cache_bytes=disk.CACHE_BYTES,
+        scheduler_factory=scheduler_factory,
+    )
+    host = make_host(SystemMode.RC, seed=seed, config=config)
+    host.kernel.fs.add_file(disk.PREMIUM_PATH, disk.PREMIUM_SIZE)
+    for index in range(8):
+        host.kernel.fs.add_file(f"/antag-{index}.bin", disk.ANTAG_SIZE)
+    records = host.sim.trace.record(["cpu.slice"])
+    EventDrivenServer(
+        host.kernel,
+        specs=[ListenSpec("premium", priority=10, weight=disk.PREMIUM_WEIGHT)],
+        use_containers=True,
+    ).install()
+    HttpClient(
+        host.kernel,
+        src_addr=disk.PREMIUM_ADDR,
+        name="premium",
+        path=disk.PREMIUM_PATH,
+        persistent=True,
+        think_time_us=disk.THINK_US,
+        rng=host.sim.rng.fork("premium"),
+    ).start(at_us=2_000.0)
+    for index in range(8):
+        host.kernel.spawn_process(
+            f"antag-{index}", disk._antagonist_body(f"/antag-{index}.bin", index)
+        )
+    scheduler = host.kernel.scheduler
+    counts = {"picks": 0, "parked": 0}
+    pick = scheduler.pick_for_cpu
+
+    def counting_pick(now, cpu, exclude=None):
+        counts["picks"] += 1
+        counts["parked"] += getattr(scheduler, "_parked", None) is not None
+        return pick(now, cpu, exclude)
+
+    scheduler.pick_for_cpu = counting_pick
+    host.run(seconds=0.3)
+    return _slice_digest(records), counts["picks"], counts["parked"]
+
+
 def test_seeded_schedule_digest_is_stable():
     # Twice in one process: ids are per-simulation, so nothing an
     # earlier run created can shift the second digest.
@@ -98,11 +165,15 @@ def test_seeded_schedule_digest_is_stable():
 
 
 def test_reference_scheduler_reproduces_the_digest():
-    config = KernelConfig(
-        scheduler_factory=lambda kernel: ReferenceScheduler(
-            kernel.containers.root,
-            quantum_us=kernel.config.quantum_us,
-            window_us=kernel.config.window_us,
-        )
-    )
+    config = KernelConfig(scheduler_factory=_reference_factory)
     assert scheduling_digest(config=config) == EXPECTED_DIGEST
+
+
+def test_disk_isolation_digest_matches_the_reference_scheduler():
+    production, picks, parked = disk_isolation_digest()
+    reference, reference_picks, _ = disk_isolation_digest(
+        scheduler_factory=_reference_factory
+    )
+    assert production == reference
+    assert picks == reference_picks
+    assert parked > picks // 4  # the parked winner is what is covered

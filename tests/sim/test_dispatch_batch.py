@@ -10,6 +10,12 @@ bounded run segment, and the dispatch tally.  Callbacks schedule,
 cancel, and stop mid-batch, which is exactly where the batch loop's
 aliasing is dangerous (a cancel inside a callback can trigger heap
 compaction, which rebinds the backing list).
+
+The reference loop never fills the queue's tail slot (a zero-delay
+event scheduled outside ``dispatch_batch`` goes straight to the heap),
+so the same fuzz, with zero-delay callbacks added, checks that the
+tail changes no order: a zero-delay event stopped, cut off by
+``max_events``, cancelled, or left behind by a raising callback.
 """
 
 import functools
@@ -50,6 +56,20 @@ def _run_segmented(batched: bool, seed: int):
 
     def cb(tag) -> None:
         log.append((sim.now, tag))
+        zero = rng.random()
+        if zero < 0.3:
+            # A zero-delay follow-up: the tail slot's case.  Some are
+            # cancelled at once, some get a same-instant sibling that
+            # must queue behind them, and some stop the run.
+            event = sim.after(0.0, cb, rng.randrange(10_000))
+            if zero < 0.05:
+                sim.cancel(event, event.seq)
+            else:
+                pending.append((event, event.seq))
+            if zero > 0.25:
+                sim.at(sim.now, cb, rng.randrange(10_000))
+            if 0.05 < zero < 0.07:
+                sim.stop()
         roll = rng.random()
         if roll < 0.55:
             event = sim.after(rng.uniform(0.0, 2_000.0), cb, rng.randrange(10_000))
@@ -164,3 +184,94 @@ def test_in_batch_insertions_dispatch_in_order():
     sim.at(10.0, order.append, "late")
     sim.run()
     assert order == ["wedge", "inserted", "late"]
+
+
+def _zero_delay_world(batched: bool):
+    """A scripted run through one loop: returns its dispatch log, the
+    run's exception (if any), and the final tally."""
+    sim = Simulation()
+    log = []
+    run = sim.run if batched else functools.partial(_reference_run, sim)
+
+    def note(tag) -> None:
+        log.append((sim.now, tag))
+
+    def spawner(tag) -> None:
+        note(tag)
+        sim.after(0.0, note, f"{tag}.zero")
+        sim.at(sim.now, note, f"{tag}.sibling")  # queues behind the tail
+
+    def stopper() -> None:
+        note("stop")
+        sim.after(0.0, note, "stop.zero")
+        sim.stop()
+
+    def raiser() -> None:
+        note("raise")
+        sim.after(0.0, note, "raise.zero")
+        raise RuntimeError("callback failed")
+
+    def canceller() -> None:
+        note("cancel")
+        live = len(sim.queue)
+        event = sim.after(0.0, note, "cancel.zero")
+        sim.cancel(event, event.seq)
+        assert not event.pending and len(sim.queue) == live
+
+    sim.at(1.0, note, "early")  # same instant, lower seq: runs first
+    sim.at(1.0, spawner, "a")
+    sim.at(2.0, stopper)
+    sim.at(3.0, raiser)
+    sim.at(4.0, canceller)
+    sim.at(5.0, spawner, "b")
+    error = None
+    run(until=10.0)  # stops at 2.0 with stop.zero pending
+    assert sim.queue.peek_time() == 2.0
+    try:
+        run(until=10.0)
+    except RuntimeError as exc:
+        error = str(exc)
+    run(max_events=3)  # raise.zero, canceller, then b
+    run(until=10.0)
+    return log, error, sim.events_dispatched, sim.queue._dead
+
+
+def test_zero_delay_events_keep_the_reference_order():
+    batch = _zero_delay_world(True)
+    assert batch == _zero_delay_world(False)
+    log, error, dispatched, dead = batch
+    assert [tag for _when, tag in log] == [
+        "early", "a", "a.zero", "a.sibling", "stop", "stop.zero", "raise",
+        "raise.zero", "cancel", "b", "b.zero", "b.sibling",
+    ]
+    assert error == "callback failed"
+    assert dispatched == 11  # the raising callback is not counted
+    assert dead == 0  # a cancelled tail event never entered the heap
+
+
+def test_tail_waits_for_an_equal_time_event_with_a_lower_seq():
+    sim = Simulation()
+    order = []
+
+    def first() -> None:
+        order.append("first")
+        sim.after(0.0, order.append, "zero")
+
+    sim.at(1.0, first)
+    sim.at(1.0, order.append, "queued-before-zero")
+    sim.run()
+    assert order == ["first", "queued-before-zero", "zero"]
+    assert sim.events_dispatched == 3
+
+
+def test_max_events_moves_the_tail_into_the_heap():
+    sim = Simulation()
+    order = []
+    sim.at(1.0, lambda: sim.after(0.0, order.append, "zero"))
+    sim.at(2.0, order.append, "later")
+    sim.run(max_events=1)
+    assert sim.queue._tail is None and len(sim.queue) == 2
+    assert sim.queue.peek_time() == 1.0
+    sim.run()
+    assert order == ["zero", "later"]
+    assert sim.events_dispatched == 3

@@ -152,3 +152,24 @@ def test_recording_category_match_is_memoized_and_reset():
     bus.record(categories=["net"])
     bus.publish(3.0, "net.drop")
     assert [r.category for r in bus.stop_recording()] == ["net.drop"]
+
+
+def test_active_follows_subscribe_record_and_stop():
+    """``active`` is a plain attribute kept by the three mutators, and
+    ``publish`` does nothing while it is off."""
+    bus = TraceBus()
+    assert bus.active is False
+    captured = bus.record()
+    assert bus.active is True
+    bus.stop_recording()
+    assert bus.active is False
+    bus.publish(1.0, "net.drop")  # off again: nothing is kept
+    assert captured == []
+    seen = []
+    bus.subscribe("net", seen.append)
+    assert bus.active is True
+    bus.record(categories=["sched"])
+    bus.stop_recording()
+    assert bus.active is True  # the subscriber is still attached
+    bus.publish(2.0, "net.drop")
+    assert [record.category for record in seen] == ["net.drop"]
