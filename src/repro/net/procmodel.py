@@ -32,7 +32,7 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.container import ResourceContainer
+from repro.core.container import ResourceContainer, hierarchy_epoch
 from repro.net.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,6 +56,10 @@ class NetMode(enum.Enum):
 DEFAULT_NET_QUEUE_LIMIT = 256
 
 
+#: A ``KernelNetThread._waiting`` stamp no version or epoch matches.
+_STALE = (-1, -1, (), None)
+
+
 class KernelNetThread:
     """Per-process kernel thread that performs protocol processing.
 
@@ -75,6 +79,10 @@ class KernelNetThread:
     #: kernel announces each one with ``Scheduler.on_wakeup``; the
     #: scheduler keeps woken net threads in a ready set and drops them
     #: lazily once they are idle, so idle net threads cost a pick nothing.
+    #: Evaluating the key is cheap between queue changes: the waiting
+    #: containers and their best priority are memoized (see
+    #: :meth:`_waiting_memo`), so repeated picks, preemption checks and
+    #: head re-checks over unchanged queues re-derive nothing.
     sched_push_notify = False
 
     def __init__(
@@ -96,6 +104,12 @@ class KernelNetThread:
         #: arrivals (selection happens at scheduler-evaluation time,
         #: which may be long before the thread actually runs).
         self._head_started = False
+        #: Bumped by every queue mutation (append, overflow drop, head
+        #: pop, displacement push-back, dead-queue clear).
+        self._version = 0
+        #: (version, hierarchy epoch, live waiting containers, their best
+        #: priority or None): see :meth:`_waiting_memo`.
+        self._waiting: tuple = _STALE
         self.stats_processed = 0
         self.stats_dropped = 0
 
@@ -125,6 +139,7 @@ class KernelNetThread:
             queue = deque()
             self._queues[key] = queue
         self._containers[key] = container
+        self._version += 1
         trace = self.kernel.sim.trace
         if len(queue) >= self.queue_limit:
             self.stats_dropped += 1
@@ -174,15 +189,36 @@ class KernelNetThread:
         """Live containers with packets waiting behind the head.
 
         A destroyed container's stranded packets lend it no priority;
-        they are discarded at the next head selection.
+        they are discarded at the next head selection.  The list is the
+        memo's own (:meth:`_waiting_memo`): callers must not mutate it.
+        """
+        memo = self._waiting
+        if memo[0] != self._version or memo[1] != hierarchy_epoch():
+            memo = self._waiting_memo()
+        return memo[2]
+
+    def _waiting_memo(self) -> tuple:
+        """Recompute ``_waiting``: (version, epoch, live waiting
+        containers, their best priority or None).
+
+        Readers recompute only when its stamp moved: every queue
+        mutation bumps ``_version``, and destroying a container or
+        replacing its attributes bumps the hierarchy epoch, so the memo
+        is exact.
         """
         seen: dict[int, ResourceContainer] = {}
+        best = None
         for key, queue in self._queues.items():
             if queue:
                 container = self._containers[key]
                 if container.alive:
                     seen[container.cid] = container
-        return list(seen.values())
+                    priority = container.attrs.numeric_priority
+                    if best is None or priority > best:
+                        best = priority
+        memo = (self._version, hierarchy_epoch(), list(seen.values()), best)
+        self._waiting = memo
+        return memo
 
     # ------------------------------------------------------------------
     # Work protocol (driven by the CPU dispatcher)
@@ -232,30 +268,32 @@ class KernelNetThread:
         """Select the next packet: highest container priority, then FIFO.
 
         An un-started head is displaced if strictly higher-priority
-        traffic has arrived since it was tentatively selected; once
-        protocol processing has consumed CPU, the packet completes.
+        traffic has arrived since it was tentatively selected (the best
+        waiting priority is read from :meth:`_waiting_memo`), and is
+        discarded if its container has died since, as the container's
+        waiting packets are; once protocol processing has consumed CPU,
+        the packet completes.
         """
-        if self._head is not None:
+        head = self._head
+        if head is not None:
             if self._head_started:
                 return
-            head_container = self._head[1]
-            best_waiting = max(
-                (
-                    self._containers[key].attrs.numeric_priority
-                    for key, queue in self._queues.items()
-                    if queue and self._containers[key].alive
-                ),
-                default=None,
-            )
-            if (
-                best_waiting is None
-                or best_waiting <= head_container.attrs.numeric_priority
-            ):
-                return
-            # Push the tentative head back and re-select.
-            key, container, packet, cost = self._head
-            self._queues[key].appendleft((packet, cost))
-            self._head = None
+            container = head[1]
+            if container.alive:
+                memo = self._waiting
+                if memo[0] != self._version or memo[1] != hierarchy_epoch():
+                    memo = self._waiting_memo()
+                best_waiting = memo[3]
+                if (
+                    best_waiting is None
+                    or best_waiting <= container.attrs.numeric_priority
+                ):
+                    return
+                # Push the tentative head back and re-select.
+                key, _container, packet, cost = head
+                self._queues[key].appendleft((packet, cost))
+                self._version += 1
+            self._head = None  # displaced, or dropped with its dead container
         best_queue_key: Optional[object] = None
         best_order: Optional[tuple] = None
         for key, queue in self._queues.items():
@@ -265,6 +303,7 @@ class KernelNetThread:
             if not container.alive:
                 # Container died with packets queued; discard them.
                 queue.clear()
+                self._version += 1
                 continue
             packet, _cost = queue[0]
             order = (-container.attrs.numeric_priority, packet.seq)
@@ -275,6 +314,7 @@ class KernelNetThread:
             return
         queue = self._queues[best_queue_key]
         packet, cost = queue.popleft()
+        self._version += 1
         self._head = (best_queue_key, self._containers[best_queue_key], packet, cost)
         self._head_started = False
 

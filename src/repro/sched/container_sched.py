@@ -79,13 +79,16 @@ written from the key above; it also reproduces the seeded schedule
 digest when the kernel runs it in place of this class.
 
 On a uniprocessor the common case is narrower still: the entity whose
-slice just ended is the only candidate.  Then :meth:`on_slice_end`
-*parks* it instead of queueing it, and the next pick, on a clean shard
-with no volatile ready, fuses "insert, then take the direct path"
-(:meth:`_pick_parked`), skipping the index round trip.  Every other
-path that reads or writes the index unparks it first (:meth:`_unpark`),
-so each sees the index it would have seen; a capped or excluded winner
-is unparked and takes the full pick.
+slice just ended is the only indexed candidate (a kernel net thread may
+be ready beside it).  Then :meth:`on_slice_end` *parks* it instead of
+queueing it, and the next pick, on a clean shard, scans the ready
+volatiles as always and fuses "insert, then take the direct path"
+(:meth:`_pick_parked`), skipping the index round trip.  When a
+volatile wins, the winner stays parked: it is queued virtually and
+nothing in the index moved.  Every other path that reads or writes the
+index unparks it first (:meth:`_unpark`), so each sees the index it
+would have seen; a capped or excluded winner is unparked and takes the
+full pick.
 
 Stale index entries are never searched for.  Mutations that can move an
 *existing* entity's placement key (reparent, attribute replacement)
@@ -235,10 +238,9 @@ class ContainerScheduler(Scheduler):
         #: left out of an otherwise empty index instead of queueing it;
         #: see :meth:`_pick_parked` and :meth:`_unpark`.
         self._parked: Optional[Schedulable] = None
-        # That makes 29 instance attributes with the kernel's ``trace``.
-        # On CPython 3.11 a 30th takes instances off shared-key inline
-        # values, and every attribute load here slows by ~15% (the
-        # spinner workload read +5% wall): fold new state into an
+        # That makes 29 instance attributes with the kernel's ``trace``,
+        # CPython 3.11's inline-values limit (pinned on a live kernel by
+        # tests/kernel/test_instance_layout.py): fold new state into an
         # existing field instead.
 
     # ------------------------------------------------------------------
@@ -611,58 +613,24 @@ class ContainerScheduler(Scheduler):
         self, now: float, cpu: int, exclude: Optional[set] = None
     ) -> Optional[Schedulable]:
         self._sync_epoch()
+        best_key = best = best_group = None
+        if self._ready:
+            best_key, best, best_group = self._ready_candidate(exclude)
         parked = self._parked
         if parked is not None:
             shard = self._shards[cpu]
             # A clean shard (no dead entries; gpos is empty whenever
-            # layer_heaps is) and no volatile to weigh: the pick would
-            # insert the parked winner and take the direct path.
-            if not (self._ready or shard.buckets or shard.layer_heaps):
-                picked = self._pick_parked(parked, cpu, exclude)
+            # layer_heaps is): the pick would insert the parked winner
+            # and weigh it directly against the ready volatiles.
+            if not (shard.buckets or shard.layer_heaps):
+                picked = self._pick_parked(parked, cpu, exclude, best_key)
+                if picked is None and best is not None:
+                    self._stamp_win(best, best_group)  # a volatile's win
+                    return best
                 if picked is not _FULL_PICK:
                     return picked
             self._unpark()
         deferred: list[tuple] = []
-        best: Optional[Schedulable] = None
-        best_key: Optional[tuple] = None
-        best_group: Optional[ResourceContainer] = None
-
-        # Volatile entities have no index entry: evaluate the ready set
-        # with the original linear logic, under the original key.
-        idle: Optional[list[int]] = None
-        for eid, entity in self._ready.items():
-            if not entity.runnable:
-                if idle is None:
-                    idle = []
-                idle.append(eid)
-                continue
-            if exclude is not None and eid in exclude:
-                continue
-            container = entity.charge_container()
-            if container is None:
-                group = None
-                group_pass = self._group_vtime
-                priority = 1
-            else:
-                if self._capped(container):
-                    continue
-                group = self._hcache.top_level(container)
-                group_pass = _node_state(group).pass_value
-                priority = self._combined_priority(entity, container)
-            key = (
-                -priority,
-                group_pass,
-                self._last_ran.get(eid, 0),
-                self._order.get(eid, 0),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = entity
-                best_group = group
-        if idle is not None:
-            for eid in idle:
-                del self._ready[eid]
-
         best_bkey: Optional[tuple] = None
         best_shard: Optional[_ReadyShard] = None
         victim: Optional[int] = None
@@ -758,9 +726,10 @@ class ContainerScheduler(Scheduler):
         if self._pos:  # then nothing is parked: inserts unpark first
             if eid not in self._pos:
                 self._index_insert(entity)
-        elif self._parked is None and not self._ready and self.n_cpus == 1:
-            # Alone in the index: park instead of queueing (see
-            # _pick_parked), with the parts an insert would memoize.
+        elif self._parked is None and self.n_cpus == 1:
+            # Alone in the index (volatiles are never indexed): park
+            # instead of queueing (see _pick_parked), with the parts an
+            # insert would memoize.
             if eid not in self._parts:
                 self._parts[eid] = self._entity_parts(entity)
             self._parked = entity
@@ -779,22 +748,31 @@ class ContainerScheduler(Scheduler):
         self._index_insert(entity)
 
     def _pick_parked(
-        self, entity: Schedulable, cpu: int, exclude: Optional[set]
+        self,
+        entity: Schedulable,
+        cpu: int,
+        exclude: Optional[set],
+        best_volatile_key: Optional[tuple],
     ) -> Optional[Schedulable]:
-        """:meth:`pick_for_cpu` on a clean shard with nothing ready but
-        the parked winner: "insert it, then take the direct path" fused.
+        """:meth:`pick_for_cpu` on a clean shard with the parked winner:
+        "insert it, then take the direct path" fused.
 
-        The effects are those of :meth:`_index_insert` followed by
-        :meth:`_sole_candidate` and the win (or the retirement), net of
-        the entries the direct path clears again: a runnable winner
-        gets its pick stamp, goes active, and its group takes the
-        virtual-time clamp; a blocked one is retired and nothing is
-        picked.  An excluded or capped winner would stay queued: that
-        returns ``_FULL_PICK``, and the caller unparks it and takes the
-        full pick.
+        The winner is weighed exactly as :meth:`_sole_candidate` would
+        weigh its entry against the best ready volatile.  When that
+        volatile strictly outranks its layer or beats its key, the
+        winner stays parked (queued virtually; nothing in the index
+        moved) and None lets the volatile win.  Otherwise the effects
+        are those of :meth:`_index_insert`, then the direct path's win
+        or retirement, net of the entries the direct path clears again:
+        a runnable winner gets its pick stamp, goes active and clamps
+        its group to the virtual time; a blocked one is retired (None).
+        An excluded or capped winner would stay queued: ``_FULL_PICK``
+        makes the caller unpark it and take the full pick.
         """
         eid = id(entity)
         priority, gkey, group = self._parts[eid]
+        if best_volatile_key is not None and -best_volatile_key[0] > priority:
+            return None  # the walk stops above this entry's layer
         runnable = entity.runnable
         if runnable:
             if exclude is not None and eid in exclude:
@@ -802,6 +780,14 @@ class ContainerScheduler(Scheduler):
             container = entity.charge_container()
             if container is not None and self._capped(container):
                 return _FULL_PICK
+            if best_volatile_key is not None:
+                if group is None:
+                    pass_value = self._group_vtime
+                else:
+                    pass_value = _node_state(group).pass_value
+                key = (-priority, pass_value, self._last_ran[eid], self._order[eid])
+                if not key < best_volatile_key:
+                    return None  # the volatile wins
         self._parked = None
         self._home[eid] = cpu
         self._layer_counts.setdefault(priority, 0)
@@ -809,15 +795,66 @@ class ContainerScheduler(Scheduler):
             self._groups[gkey] = group
         if not runnable:
             return None
-        self._pick_seq += 1
-        self._last_ran[eid] = self._pick_seq
         self._active[eid] = cpu
         self._active_count[cpu] += 1
+        self._stamp_win(entity, group)
+        return entity
+
+    def _stamp_win(
+        self, entity: Schedulable, group: Optional[ResourceContainer]
+    ) -> None:
+        """A parked pick's win: the round-robin pick stamp, and the
+        winner's group clamped up to the global virtual time, as the
+        full pick's win does."""
+        self._pick_seq += 1
+        self._last_ran[id(entity)] = self._pick_seq
         if group is not None:
             state = _node_state(group)
             state.pass_value = max(state.pass_value, self._group_vtime)
             self._group_vtime = state.pass_value
-        return entity
+
+    def _ready_candidate(self, exclude: Optional[set]) -> tuple:
+        """Best ready volatile as (key, entity, group), or three Nones.
+
+        Volatile entities have no index entry: the ready set is
+        evaluated with the original linear logic, under the original
+        key, and the members found not runnable leave it.
+        """
+        best = best_key = best_group = None
+        idle: Optional[list[int]] = None
+        for eid, entity in self._ready.items():
+            if not entity.runnable:
+                if idle is None:
+                    idle = []
+                idle.append(eid)
+                continue
+            if exclude is not None and eid in exclude:
+                continue
+            container = entity.charge_container()
+            if container is None:
+                group = None
+                group_pass = self._group_vtime
+                priority = 1
+            else:
+                if self._capped(container):
+                    continue
+                group = self._hcache.top_level(container)
+                group_pass = _node_state(group).pass_value
+                priority = self._combined_priority(entity, container)
+            key = (
+                -priority,
+                group_pass,
+                self._last_ran.get(eid, 0),
+                self._order.get(eid, 0),
+            )
+            if best_key is None or key < best_key:
+                best_key = key
+                best = entity
+                best_group = group
+        if idle is not None:
+            for eid in idle:
+                del self._ready[eid]
+        return best_key, best, best_group
 
     def _requeue_deferred(self, deferred: list) -> None:
         """Put capped/excluded entities back; refresh displaced heads."""

@@ -1,11 +1,13 @@
 """Kernel network thread: queueing, priority order, overflow drops."""
 
+import random
+
 import pytest
 
 from repro import Host, SystemMode
 from repro.core.attributes import timeshare_attrs
 from repro.net.packet import Packet, PacketKind, ip_addr
-from repro.net.procmodel import KernelNetThread, protocol_cost
+from repro.net.procmodel import _STALE, KernelNetThread, protocol_cost
 
 
 @pytest.fixture
@@ -99,6 +101,110 @@ def test_dead_container_queue_discarded(setup):
     manager.release(doomed)
     assert net_thread.charge_container() is None
     assert not net_thread.runnable
+
+
+def test_dead_unstarted_head_is_discarded(setup):
+    """A container that dies after its packet was tentatively selected as
+    head loses that packet too, exactly as if it had died first: nothing
+    is left to charge to the dead principal."""
+    host, _process, net_thread = setup
+    manager = host.kernel.containers
+    doomed = manager.create("doomed", attrs=timeshare_attrs(priority=9))
+    survivor = manager.create("survivor", attrs=timeshare_attrs(priority=1))
+    net_thread.enqueue(doomed, packet(0), 10.0)
+    assert net_thread.charge_container() is doomed  # the un-started head
+    manager.release(doomed)
+    assert net_thread.charge_container() is None
+    assert not net_thread.runnable
+    assert net_thread.work_remaining_us() == 0.0
+    net_thread.enqueue(doomed, packet(1), 10.0)  # a late arrival
+    net_thread.enqueue(survivor, packet(2), 5.0)
+    assert net_thread.charge_container() is survivor
+    assert net_thread.work_remaining_us() == 5.0
+
+
+class _Unmemoized(KernelNetThread):
+    """The net thread whose waiting memo reads stale on every read, so
+    each read recomputes it."""
+
+    @property
+    def _waiting(self):
+        return _STALE
+
+    @_waiting.setter
+    def _waiting(self, memo):
+        pass
+
+
+def _observe(thread):
+    return (
+        thread.runnable,
+        thread.charge_container(),
+        thread.work_remaining_us(),
+        thread.scheduler_containers(),
+        thread.runnable,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_waiting_memo_matches_recomputation(setup, seed):
+    """Seeded queue churn through a memoized net thread and its twin
+    that recomputes the waiting set on every read: every observation
+    agrees after every op."""
+    host, process, _net_thread = setup
+    manager = host.kernel.containers
+    rng = random.Random(seed)
+    memoized = KernelNetThread(process, host.kernel, queue_limit=3)
+    reference = _Unmemoized(process, host.kernel, queue_limit=3)
+    twins = (memoized, reference)
+    pool = [
+        manager.create(f"c{i}", attrs=timeshare_attrs(priority=i % 3))
+        for i in range(4)
+    ]
+    seen = {"overflow": 0, "displaced": 0, "released": 0}
+    for step in range(400):
+        roll = rng.random()
+        live = [c for c in pool if c.alive]
+        if roll < 0.45 and live:
+            container = rng.choice(live)
+            key = ("socket", rng.randrange(2)) if rng.random() < 0.4 else None
+            p = Packet(seq=step + 1, kind=PacketKind.DATA, src_addr=1)
+            cost = rng.uniform(1.0, 9.0)
+            results = [t.enqueue(container, p, cost, key) for t in twins]
+            assert results[0] == results[1]
+            seen["overflow"] += not results[0]
+        elif roll < 0.65:
+            remaining = [t.work_remaining_us() for t in twins]
+            assert remaining[0] == remaining[1]
+            us = remaining[0] * rng.choice([0.5, 1.0])
+            if remaining[0] > 0.0:
+                done = [t.advance(us) for t in twins]
+                assert done[0] == done[1]
+                if done[0]:
+                    taken = [t.take_completed() for t in twins]
+                    assert taken[0] == taken[1]
+        elif roll < 0.75 and live:
+            queued = [c for c in live if c in memoized.scheduler_containers()]
+            victim = rng.choice(queued or live)
+            manager.release(victim)
+            seen["released"] += bool(queued)
+        elif roll < 0.9:
+            head = memoized._head
+            if head is not None and not memoized._head_started and live:
+                # Raise a waiting container above the un-started head.
+                target = rng.choice(live)
+                priority = head[1].attrs.numeric_priority + 1
+                manager.set_attributes(target, timeshare_attrs(priority=priority))
+                before = memoized._head
+                observed = _observe(memoized)
+                assert observed == _observe(reference)
+                seen["displaced"] += memoized._head is not before
+                continue
+        else:
+            attrs = timeshare_attrs(priority=rng.randrange(3))
+            pool.append(manager.create(f"c{len(pool)}", attrs=attrs))
+        assert _observe(memoized) == _observe(reference), step
+    assert all(seen.values()), seen
 
 
 def test_scheduler_containers_lists_pending(setup):

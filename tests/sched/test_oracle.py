@@ -11,7 +11,8 @@ the world checks the whole tree was reset before the oracle rolls.
 Between a slice's end and the next pick the world may also wake, block
 or rebind the entity that just ran, or apply any other mutation: on one
 CPU with nothing else queued, that is the window in which production
-holds the winner parked instead of queued.
+holds the winner parked instead of queued, and it stays parked through
+picks that a ready volatile wins.
 
 The scripted tests below pin production's lazy index on states the
 oracle has no notion of (dead entries, shard queue counts, the volatile
@@ -97,6 +98,15 @@ class World:
         self.direct = set()
         #: Picks that found production holding a parked winner.
         self.parked = 0
+        #: Picks that weighed a parked winner against a ready volatile.
+        self.weighed = 0
+        weigh = self.sched._pick_parked
+
+        def counting_weigh(entity, cpu, exclude, best_volatile_key):
+            self.weighed += best_volatile_key is not None
+            return weigh(entity, cpu, exclude, best_volatile_key)
+
+        self.sched._pick_parked = counting_weigh
 
     def bindable(self):
         return self.containers + [c for c in self.spawned if c.alive]
@@ -192,12 +202,14 @@ class World:
 
     def assert_queued(self):
         """Every runnable push-notify entity that is not running holds a
-        live entry on its home shard; the oracle reads that home, so a
-        lost entry would otherwise hide behind it."""
+        live entry on its home shard, or is the parked winner (queued
+        virtually, and kept parked by picks a volatile wins); the oracle
+        reads that home, so a lost entry would otherwise hide behind it."""
         running = {id(e) for e in self.running.values()}
         for entity in self.indexed:
             eid = id(entity)
-            if entity.runnable and eid not in running:
+            parked = entity is self.sched._parked
+            if entity.runnable and eid not in running and not parked:
                 pos = self.sched._pos.get(eid)
                 assert pos is not None and pos[0] == self.sched._home[eid], entity.name
 
@@ -250,6 +262,8 @@ def test_production_matches_oracle(n_cpus, n_indexed, n_volatile, seed):
     # Winners park on one CPU only, and a lone indexed entity does.
     assert world.parked == 0 or n_cpus == 1
     assert world.parked > 0 or n_cpus > 1 or n_indexed > 1
+    # ... and a parked winner is weighed against ready volatiles.
+    assert world.weighed > 0 or n_cpus > 1 or n_volatile == 0
 
 
 def _one_entry_world(n_cpus=1):
@@ -274,6 +288,32 @@ def test_blocked_sole_entry_retires_only_when_its_layer_is_reached(
     entity.runnable = False  # blocks while queued, without a notification
     assert sched.queued_on(0) == 1
     assert sched.pick_for_cpu(0.0, 0) is volatile
+    assert sched._parked is None
+    assert sched.queued_on(0) == (0 if retired else 1)
+
+
+@pytest.mark.parametrize(
+    "volatile_priority,retired", [(6, False), (4, True), (1, True)]
+)
+def test_blocked_parked_entry_retires_only_when_its_layer_is_reached(
+    volatile_priority, retired
+):
+    """Parked after its slice with the volatile woken beside it: a
+    volatile that outranks the blocked entry's layer wins without
+    retiring it, and the entry stays parked."""
+    manager, sched, entity = _one_entry_world()
+    other = manager.create("other", attrs=timeshare_attrs(priority=volatile_priority))
+    volatile = VolatileFake("v", other)
+    volatile.runnable = False
+    sched.attach(volatile)
+    assert sched.pick_for_cpu(0.0, 0) is entity
+    sched.on_slice_end(entity, 0.0)
+    assert sched._parked is entity
+    volatile.runnable = True
+    sched.on_wakeup(volatile, 0.0)
+    entity.runnable = False  # blocks while parked, without a notification
+    assert sched.pick_for_cpu(0.0, 0) is volatile
+    assert (sched._parked is entity) == (not retired)
     assert sched.queued_on(0) == (0 if retired else 1)
 
 
