@@ -89,7 +89,6 @@ class HttpClient:
         self.current: Optional[HttpRequest] = None
         self._attempt_started = 0.0
         self._timeout_event = None
-        self._timeout_seq = None
         self._src_port = itertools.count(10_000)
         self._packet_seqs = self.sim.id_stream("packet")
         self._request_ids = self.sim.id_stream("request")
@@ -240,15 +239,13 @@ class HttpClient:
     def _arm_timeout(self) -> None:
         self._cancel_timeout()
         if self.timeout_us is not None:
-            event = self.sim.after(self.timeout_us, self._on_timeout)
-            # seq recorded at arm time: the engine pools event objects,
-            # so a cancel through this handle must be generation-guarded.
-            self._timeout_event = event
-            self._timeout_seq = event.seq
+            self._timeout_event = self.sim.after(
+                self.timeout_us, self._on_timeout
+            )
 
     def _cancel_timeout(self) -> None:
         if self._timeout_event is not None:
-            self.sim.cancel(self._timeout_event, self._timeout_seq)
+            self.sim.cancel(self._timeout_event)
             self._timeout_event = None
 
     def _on_timeout(self) -> None:

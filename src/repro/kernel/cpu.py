@@ -48,7 +48,6 @@ from repro.kernel.accounting import SystemAccounting
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-    from repro.sim.events import Event
 
 #: Tolerance for floating-point work accounting.
 EPSILON = 1e-9
@@ -76,15 +75,10 @@ class _RunSlice:
 
     Instances are drawn from a free list (see ``CPU._alloc_slice``) and
     recycled when the slice finishes or is preempted: holding one past
-    the completion of its slice is not supported.  ``event_seq`` is
-    ``event.seq`` as recorded when the slice was filled, and
-    ``_preempt_entity`` passes it to ``Simulation.cancel`` as its guard.
-    Events are never recycled (:mod:`repro.sim.events`), so the guard
-    cannot trip while ``_alloc_slice`` assigns the pair together; it is
-    there for the slice record, which *is* recycled: a record whose
-    ``event`` were replaced without its ``event_seq`` would have its
-    cancel ignored and counted in ``EventQueue.stale_cancels`` rather
-    than cancel a timer it does not own.
+    the completion of its slice is not supported.  ``event`` is the
+    queue entry of the slice's completion, which ``_preempt_entity``
+    cancels.  Queue entries are never reused (:mod:`repro.sim.events`),
+    so a cancel through a recycled record's old entry is a no-op.
     """
 
     kind: str = ""  # "hard", "soft", or "entity"
@@ -93,8 +87,7 @@ class _RunSlice:
     #: Portion of planned_us that advances entity work (the rest is
     #: context-switch overhead).
     work_us: float = 0.0
-    event: "Optional[Event]" = None
-    event_seq: int = -1
+    event: Optional[list] = None
     job: Optional[InterruptJob] = None
     entity: object = None
     charge: Optional[ResourceContainer] = None
@@ -230,7 +223,7 @@ class CPU:
         start: float,
         planned_us: float,
         work_us: float,
-        event: "Event",
+        event: list,
         job: Optional[InterruptJob],
         entity: object,
         charge: Optional[ResourceContainer],
@@ -244,7 +237,6 @@ class CPU:
             run.planned_us = planned_us
             run.work_us = work_us
             run.event = event
-            run.event_seq = event.seq
             run.job = job
             run.entity = entity
             run.charge = charge
@@ -256,7 +248,6 @@ class CPU:
             planned_us=planned_us,
             work_us=work_us,
             event=event,
-            event_seq=event.seq,
             job=job,
             entity=entity,
             charge=charge,
@@ -292,7 +283,7 @@ class CPU:
     def _dispatch(self) -> None:
         self._dispatch_scheduled = False
         sim = self.sim
-        now = sim.clock._now
+        now = sim.now
         # The IRQ core services interrupts first.
         irq = self.cores[self.irq_core]
         while irq.current is None and (self.hard_queue or self.soft_queue):
@@ -365,7 +356,7 @@ class CPU:
         self._idle_cores -= 1
         core.current = self._alloc_slice(
             kind,
-            self.sim.clock._now,
+            self.sim.now,
             job.cost_us,
             job.cost_us,
             event,
@@ -385,7 +376,7 @@ class CPU:
             return
         core.current = None
         self._idle_cores += 1
-        now = self.sim.clock._now
+        now = self.sim.now
         self._account(run, run.planned_us, interrupt=run.kind != "entity", core=core)
         if run.kind == "entity":
             entity = run.entity
@@ -412,7 +403,7 @@ class CPU:
         core.current = None
         self._idle_cores += 1
         now = self.sim.now
-        self.sim.cancel(run.event, run.event_seq)
+        self.sim.cancel(run.event)
         self._running_ids.discard(id(run.entity))
         elapsed = now - run.start
         if self.sim.trace.active:
@@ -456,7 +447,7 @@ class CPU:
             host = self.kernel.host_name
             if host is None:
                 trace.publish(
-                    self.sim.clock._now,
+                    self.sim.now,
                     "cpu.slice",
                     kind=run.kind,
                     core=core.index,
@@ -473,7 +464,7 @@ class CPU:
                 # observability can keep per-host lanes apart.  Kept as a
                 # separate publish so single-host traces stay byte-stable.
                 trace.publish(
-                    self.sim.clock._now,
+                    self.sim.now,
                     "cpu.slice",
                     kind=run.kind,
                     core=core.index,

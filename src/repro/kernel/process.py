@@ -92,10 +92,8 @@ class Thread:
         self.waiting_on: list = []
         #: Why the thread was woken (opaque tag set by the waker).
         self.wake_tag: Any = None
-        #: Pending timeout event for a blocking syscall, if any, with the
-        #: generation (event seq) recorded for stale-handle-safe cancel.
+        #: Pending timeout event for a blocking syscall, if any.
         self.wait_timer = None
-        self.wait_timer_seq = None
         #: Resource binding to restore after a charge-override op (file
         #: I/O through a container-bound descriptor), if any.
         self.binding_restore = None

@@ -308,16 +308,14 @@ class SyscallExecutor:
     # ------------------------------------------------------------------
 
     def _arm_timer(self, thread: Thread, delay_us: float) -> None:
-        timer = self.kernel.sim.after(delay_us, self.wake, thread, "timeout")
-        # Record the generation: the engine recycles fired event objects,
-        # so cancelling through a stale handle needs the seq guard.
-        thread.wait_timer = timer
-        thread.wait_timer_seq = timer.seq
+        thread.wait_timer = self.kernel.sim.after(
+            delay_us, self.wake, thread, "timeout"
+        )
 
     def _cancel_timer(self, thread: Thread) -> None:
         timer = getattr(thread, "wait_timer", None)
         if timer is not None:
-            self.kernel.sim.cancel(timer, getattr(thread, "wait_timer_seq", None))
+            self.kernel.sim.cancel(timer)
             thread.wait_timer = None
 
     # ------------------------------------------------------------------

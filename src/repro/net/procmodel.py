@@ -91,10 +91,15 @@ class KernelNetThread:
         kernel: "Kernel",
         queue_limit: int = DEFAULT_NET_QUEUE_LIMIT,
     ) -> None:
+        if queue_limit < 1:
+            raise ValueError(f"queue_limit must be at least 1, got {queue_limit}")
         self.process = process
         self.kernel = kernel
         self.queue_limit = queue_limit
         self.name = f"netthread:{process.name}"
+        #: Non-empty packet queues by key, and the container each key
+        #: charges; a key leaves both when its queue empties, so every
+        #: scan below sees only live queues.
         self._queues: dict[object, deque[tuple[Packet, float]]] = {}
         self._containers: dict[object, ResourceContainer] = {}
         #: (key, container, packet, remaining_us) of the current packet.
@@ -177,7 +182,7 @@ class KernelNetThread:
 
     @property
     def runnable(self) -> bool:
-        return self._head is not None or any(self._queues.values())
+        return self._head is not None or bool(self._queues)
 
     def charge_container(self) -> Optional[ResourceContainer]:
         self._ensure_head()
@@ -208,14 +213,12 @@ class KernelNetThread:
         """
         seen: dict[int, ResourceContainer] = {}
         best = None
-        for key, queue in self._queues.items():
-            if queue:
-                container = self._containers[key]
-                if container.alive:
-                    seen[container.cid] = container
-                    priority = container.attrs.numeric_priority
-                    if best is None or priority > best:
-                        best = priority
+        for container in self._containers.values():
+            if container.alive:
+                seen[container.cid] = container
+                priority = container.attrs.numeric_priority
+                if best is None or priority > best:
+                    best = priority
         memo = (self._version, hierarchy_epoch(), list(seen.values()), best)
         self._waiting = memo
         return memo
@@ -291,31 +294,48 @@ class KernelNetThread:
                     return
                 # Push the tentative head back and re-select.
                 key, _container, packet, cost = head
-                self._queues[key].appendleft((packet, cost))
+                queue = self._queues.get(key)
+                if queue is None:
+                    # Its queue emptied when the head was taken, and no
+                    # packet arrived since: the key charged ``container``.
+                    queue = self._queues[key] = deque()
+                    self._containers[key] = container
+                queue.appendleft((packet, cost))
                 self._version += 1
             self._head = None  # displaced, or dropped with its dead container
         best_queue_key: Optional[object] = None
         best_order: Optional[tuple] = None
-        for key, queue in self._queues.items():
-            if not queue:
-                continue
-            container = self._containers[key]
+        dead: Optional[list] = None
+        queues = self._queues
+        containers = self._containers
+        for key, queue in queues.items():
+            container = containers[key]
             if not container.alive:
                 # Container died with packets queued; discard them.
-                queue.clear()
-                self._version += 1
+                if dead is None:
+                    dead = []
+                dead.append(key)
                 continue
             packet, _cost = queue[0]
             order = (-container.attrs.numeric_priority, packet.seq)
             if best_order is None or order < best_order:
                 best_order = order
                 best_queue_key = key
+        if dead is not None:
+            for key in dead:
+                del queues[key]
+                del containers[key]
+            self._version += 1
         if best_queue_key is None:
             return
-        queue = self._queues[best_queue_key]
+        container = containers[best_queue_key]
+        queue = queues[best_queue_key]
         packet, cost = queue.popleft()
+        if not queue:
+            del queues[best_queue_key]
+            del containers[best_queue_key]
         self._version += 1
-        self._head = (best_queue_key, self._containers[best_queue_key], packet, cost)
+        self._head = (best_queue_key, container, packet, cost)
         self._head_started = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

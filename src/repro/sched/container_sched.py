@@ -818,7 +818,10 @@ class ContainerScheduler(Scheduler):
 
         Volatile entities have no index entry: the ready set is
         evaluated with the original linear logic, under the original
-        key, and the members found not runnable leave it.
+        key, and the members found not runnable leave it.  Selecting a
+        net thread's head may discard a destroyed container's stranded
+        packets, so an entity that charges nobody is asked once more:
+        if that left it with no work, it is idle too.
         """
         best = best_key = best_group = None
         idle: Optional[list[int]] = None
@@ -832,6 +835,11 @@ class ContainerScheduler(Scheduler):
                 continue
             container = entity.charge_container()
             if container is None:
+                if not entity.runnable:
+                    if idle is None:
+                        idle = []
+                    idle.append(eid)
+                    continue
                 group = None
                 group_pass = self._group_vtime
                 priority = 1

@@ -8,22 +8,20 @@ few microseconds; per-request CPU costs are 105--338 microseconds).
 
 Public surface:
 
-- :class:`~repro.sim.engine.Simulation` -- the event loop.
-- :class:`~repro.sim.events.EventQueue` / :class:`~repro.sim.events.Event`
-- :class:`~repro.sim.clock.Clock`
+- :class:`~repro.sim.engine.Simulation` -- the event loop; simulated
+  time is its plain ``now`` attribute.
+- :class:`~repro.sim.events.EventQueue` -- a heap of
+  ``[when, seq, callback, args]`` entries, each the handle of its event.
 - :class:`~repro.sim.rng.SeededRng` -- deterministic random source.
 - :class:`~repro.sim.tracing.TraceBus` -- structured trace/telemetry bus.
 """
 
-from repro.sim.clock import Clock
 from repro.sim.engine import Simulation
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.rng import SeededRng
 from repro.sim.tracing import TraceBus, TraceRecord
 
 __all__ = [
-    "Clock",
-    "Event",
     "EventQueue",
     "SeededRng",
     "Simulation",

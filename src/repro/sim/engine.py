@@ -1,18 +1,21 @@
 """The discrete-event simulation loop.
 
-:class:`Simulation` owns the clock, the event queue, the root RNG, and the
-trace bus.  Components schedule callbacks; :meth:`Simulation.run` drains
-the queue in timestamp order, advancing the clock as it goes.
+:class:`Simulation` owns simulated time (:attr:`Simulation.now`), the
+event queue, the root RNG, and the trace bus.  Components schedule
+callbacks; :meth:`Simulation.run` drains the queue in timestamp order,
+advancing ``now`` as it goes.  Nothing in the system reads wall-clock
+time, which is what makes runs deterministic and replayable.
 
 The engine knows nothing about kernels or networks; it is a generic
 deterministic executor, which keeps it easy to test in isolation and to
 reuse for workload generators that live "outside" the simulated host.
 
 The dispatch loop is the hottest code in the repository -- every slice,
-packet, and timer passes through it -- so it is written allocation-free:
-bound methods are hoisted out of the loop, the clock is advanced by
-direct attribute store (queue order already guarantees monotonicity),
-and the per-event loop itself lives in :meth:`EventQueue.dispatch_batch`.
+packet, and timer passes through it -- so it is written lean: one list
+per event, bound methods hoisted out of the loop, ``now`` a plain
+attribute advanced by direct store (queue order already guarantees
+monotonicity), and the per-event loop itself in
+:meth:`EventQueue.dispatch_batch`.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import itertools
 import os
 from typing import Any, Callable, Optional
 
-from repro.sim.clock import Clock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.rng import SeededRng
 from repro.sim.tracing import TraceBus
 
@@ -81,7 +83,9 @@ class Simulation:
         sanitize: bool = False,
         observe: bool = False,
     ) -> None:
-        self.clock = Clock()
+        #: Current simulated time in microseconds.  Only the dispatch
+        #: loop and run()'s horizon step write it, and never backwards.
+        self.now = 0.0
         self.queue = EventQueue()
         self.rng = SeededRng(seed)
         self.trace = trace if trace is not None else TraceBus()
@@ -115,27 +119,25 @@ class Simulation:
     # ------------------------------------------------------------------
 
     @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self.clock.now
-
-    @property
     def events_dispatched(self) -> int:
         """Total number of events dispatched so far."""
         return self._events_dispatched
 
-    def at(self, when: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback`` at absolute simulated time ``when``."""
-        now = self.clock._now
+    def at(self, when: float, callback: Callable[..., None], *args: Any) -> list:
+        """Schedule ``callback`` at absolute simulated time ``when``.
+
+        Returns the queue entry, the handle :meth:`cancel` takes.
+        """
+        now = self.now
         if when == now:
-            return self.queue.schedule_now(when, callback, *args)
+            return self.queue.schedule_now(when, callback, args)
         if when < now:
             raise ValueError(
                 f"cannot schedule into the past: now={now}, when={when}"
             )
-        return self.queue.schedule(when, callback, *args)
+        return self.queue.schedule(when, callback, args)
 
-    def after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+    def after(self, delay: float, callback: Callable[..., None], *args: Any) -> list:
         """Schedule ``callback`` after ``delay`` microseconds.
 
         A zero delay goes through :meth:`EventQueue.schedule_now`: run
@@ -144,18 +146,14 @@ class Simulation:
         order the heap would give it.
         """
         if delay == 0.0:
-            return self.queue.schedule_now(self.clock._now, callback, *args)
+            return self.queue.schedule_now(self.now, callback, args)
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.queue.schedule(self.clock._now + delay, callback, *args)
+        return self.queue.schedule(self.now + delay, callback, args)
 
-    def cancel(self, event: Event, seq: Optional[int] = None) -> None:
-        """Cancel a pending event.
-
-        ``seq`` guards the call: pass ``event.seq`` as recorded at
-        schedule time and a handle that does not carry it is ignored.
-        """
-        self.queue.cancel(event, seq)
+    def cancel(self, handle: list) -> None:
+        """Cancel a pending event; a no-op once it fired or was cancelled."""
+        self.queue.cancel(handle)
 
     # ------------------------------------------------------------------
     # Running
@@ -169,8 +167,8 @@ class Simulation:
         """Dispatch events until the queue empties or a bound is reached.
 
         Args:
-            until: stop once simulated time would exceed this value; the
-                clock is left at exactly ``until`` when the bound is hit.
+            until: stop once simulated time would exceed this value;
+                ``now`` is left at exactly ``until`` when the bound is hit.
             max_events: safety valve for runaway simulations.
 
         Returns:
@@ -180,34 +178,30 @@ class Simulation:
             raise RuntimeError("simulation loop is not reentrant")
         self._running = True
         self._stop_requested = False
-        clock = self.clock
         queue = self.queue
         try:
             # The per-event loop lives in the queue (dispatch_batch), so
             # every hot step runs on locals hoisted once per run, not
-            # once per event.  The queue advances the clock by direct
-            # store -- dispatch order already guarantees monotonicity;
-            # Clock.advance_to's backwards check only guards external
-            # callers -- and counts into _events_dispatched itself so
-            # the tally survives a callback exception.
+            # once per event.  The queue stores each event's time into
+            # self.now (dispatch order guarantees monotonicity) and
+            # counts into _events_dispatched itself so the tally
+            # survives a callback exception.
             limit = 0x7FFF_FFFF_FFFF_FFFF if max_events is None else max_events
-            next_when, drained = queue.dispatch_batch(
-                self, clock, until, limit
-            )
-            if until is not None and clock._now < until:
+            next_when, drained = queue.dispatch_batch(self, until, limit)
+            if until is not None and self.now < until:
                 # Reuse the batch's verdict for the common exits (queue
                 # drained, or the head event sits past the horizon);
                 # only stop()/max_events exits still need to ask the
                 # queue whether anything is left before the horizon.
                 if drained or next_when is not None:
-                    clock._now = until
+                    self.now = until
                 elif queue.peek_time() is None:
-                    clock._now = until
+                    self.now = until
         finally:
             self._running = False
             for hook in self.flush_hooks:
                 hook()
-        return self.clock.now
+        return self.now
 
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""
@@ -215,6 +209,6 @@ class Simulation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulation(now={self.clock.now:.1f}us, "
+            f"Simulation(now={self.now:.1f}us, "
             f"pending={len(self.queue)}, dispatched={self._events_dispatched})"
         )

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro import Host, SystemMode
+from repro.apps.httpserver import EventDrivenServer
 from repro.core.attributes import timeshare_attrs
+from repro.experiments.common import make_host, static_clients
 from repro.net.packet import Packet, PacketKind, ip_addr
 from repro.net.procmodel import _STALE, KernelNetThread, protocol_cost
 
@@ -248,3 +250,19 @@ def test_protocol_cost_per_kind():
         == costs.proto_established
     )
 
+
+
+def test_lrp_queue_keys_leave_with_their_last_packet():
+    """LRP queues per socket, so every connection brings a new key; a
+    key must leave once its queue empties, or each head selection and
+    waiting-set recompute walks every connection the server has seen."""
+    host = make_host(SystemMode.LRP, seed=1)
+    server = EventDrivenServer(host.kernel, use_containers=False)
+    server.install()
+    clients = static_clients(host, 8)
+    net_thread = host.kernel.net_threads[server.process.pid]
+    host.run(seconds=0.4)
+    assert sum(c.stats_completed for c in clients) > 500
+    live = sum(1 for queue in net_thread._queues.values() if queue)
+    assert len(net_thread._queues) <= live + 1
+    assert net_thread._containers.keys() == net_thread._queues.keys()

@@ -15,6 +15,10 @@ key in that module's docstring, and nothing else:
 
 and window caps: an entity whose charge container, or any ancestor of
 it, has used ``cpu_limit * window_us`` in this window is not eligible.
+Nor is an entity that charges nobody and, asked again after
+``charge_container()``, is no longer runnable: a kernel net thread whose
+only packets belonged to a destroyed container discards them there and
+has no work left.
 
 It holds no index, epoch, memo or ready set.  Every pick scans every
 attached entity and derives everything fresh: the top-level group with
@@ -64,8 +68,9 @@ contracts, as the fakes below allow:
   ``on_slice_end``, as the dispatcher does;
 * making any entity runnable calls ``on_wakeup``;
 * a rebind fires the change hook (``sched_note_change``);
-* a container is released only when no fake is bound to it, as the
-  reference count guarantees.
+* a container is released only when no push-notify fake is bound to
+  it, as the reference count guarantees; a volatile fake's container
+  may die under it, as a net thread's may with packets queued.
 
 States outside those contracts (a group destroyed under a queued,
 reference-less fake, say) are not fuzzed; scripted tests pin them.
@@ -167,6 +172,8 @@ class ReferenceScheduler(Scheduler):
         stamp = (self._last_ran[eid], self._order[eid])
         container = entity.charge_container()
         if container is None:
+            if not entity.runnable:
+                return None
             return (-1, self._vtime) + stamp, None
         if self.capped_out(container):
             return None
@@ -230,15 +237,26 @@ class ReferenceScheduler(Scheduler):
 class VolatileFake:
     """Schedulable without the push-notify contract, like a kernel net
     thread: its container may change silently between picks (None
-    charges nobody); ``sched_containers`` overrides its binding set."""
+    charges nobody); ``sched_containers`` overrides its binding set.
+
+    It holds no reference on its container, as a net thread's queued
+    packets hold none: once the container is destroyed,
+    ``charge_container()`` discards the work (counted in ``stranded``),
+    returns None and leaves the fake not runnable."""
 
     def __init__(self, name, container, sched_containers=None):
         self.name = name
         self.container = container
         self.sched_containers = sched_containers
         self.runnable = True
+        self.stranded = 0
 
     def charge_container(self):
+        container = self.container
+        if container is not None and not container.alive:
+            self.container = None
+            self.runnable = False
+            self.stranded += 1
         return self.container
 
     def scheduler_containers(self):

@@ -27,6 +27,8 @@ from repro.core.attributes import fixed_share_attrs, timeshare_attrs
 from repro.core.hierarchy import iter_subtree
 from repro.core.operations import ContainerManager
 from repro.sched.container_sched import ContainerScheduler
+from repro import Host, SystemMode
+from repro.net.packet import Packet, PacketKind
 from tests.sched.oracle import IndexedFake, ReferenceScheduler, VolatileFake
 
 QUANTUM_US = 1_000.0
@@ -150,7 +152,7 @@ class World:
                 )
             )
         elif kind == "kill":
-            bound = {id(e.container) for e in self.entities}
+            bound = {id(e.container) for e in self.indexed}
             free = [c for c in self.spawned if c.alive and id(c) not in bound]
             if free:
                 self.manager.release(free[index % len(free)])
@@ -192,7 +194,13 @@ class World:
             exclude.add(id(self.entities[extra_exclude % len(self.entities)]))
         self.direct.add(self.sched._sole_live_entry_here(cpu))
         self.parked += self.sched._parked is not None
+        # A volatile whose container died is stranded by the first
+        # charge_container() that sees it; production must face the
+        # state the oracle saw, so undo the oracle's strandings first.
+        before = [(v.container, v.runnable, v.stranded) for v in self.volatile]
         want = self.oracle.pick_for_cpu(now, cpu, exclude)  # placement pre-pick
+        for entity, state in zip(self.volatile, before):
+            entity.container, entity.runnable, entity.stranded = state
         got = self.sched.pick_for_cpu(now, cpu, exclude)
         assert got is want, (getattr(got, "name", None), getattr(want, "name", None))
         if got is not None:
@@ -234,12 +242,9 @@ def _random_op(rng):
     return ("kill", rng.randrange(1_000), None)
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2, 4])
-@pytest.mark.parametrize(
-    "n_indexed,n_volatile", [(1, 0), (1, 3), (2, 1), (3, 2), (7, 9)]
-)
-@pytest.mark.parametrize("seed", range(5))
-def test_production_matches_oracle(n_cpus, n_indexed, n_volatile, seed):
+def _fuzz(n_cpus, n_indexed, n_volatile, seed):
+    """200 seeded quanta of one world; every pick is compared as it
+    happens.  Returns the world and the number of picks that ran one."""
     rng = random.Random(f"{seed}-{n_cpus}-{n_indexed}-{n_volatile}")
     world = World(n_cpus, n_indexed, n_volatile)
     now = 0.0
@@ -255,6 +260,16 @@ def test_production_matches_oracle(n_cpus, n_indexed, n_volatile, seed):
             picks += world.pick(cpu, now, extra) is not None
         now += QUANTUM_US
     assert world.sched.steals == world.oracle.steals
+    return world, picks
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 4])
+@pytest.mark.parametrize(
+    "n_indexed,n_volatile", [(1, 0), (1, 3), (2, 1), (3, 2), (7, 9)]
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_production_matches_oracle(n_cpus, n_indexed, n_volatile, seed):
+    world, picks = _fuzz(n_cpus, n_indexed, n_volatile, seed)
     assert picks > 50  # the schedule really ran
     # The direct pick ran, and so did the heap walk when it can.
     assert True in world.direct
@@ -264,6 +279,17 @@ def test_production_matches_oracle(n_cpus, n_indexed, n_volatile, seed):
     assert world.parked > 0 or n_cpus > 1 or n_indexed > 1
     # ... and a parked winner is weighed against ready volatiles.
     assert world.weighed > 0 or n_cpus > 1 or n_volatile == 0
+
+
+def test_fuzz_world_strands_volatiles():
+    """The fuzz reaches a volatile whose container died under it: its
+    next ``charge_container()`` leaves it idle (see VolatileFake)."""
+    stranded = 0
+    for n_cpus in (1, 2):
+        for seed in range(3):
+            world, _picks = _fuzz(n_cpus, 7, 9, seed)
+            stranded += sum(entity.stranded for entity in world.volatile)
+    assert stranded > 0
 
 
 def _one_entry_world(n_cpus=1):
@@ -393,3 +419,35 @@ def test_detach_removes_volatile_from_ready_set():
     sched.on_wakeup(entity, 0.0)  # a late wakeup for a detached entity
     assert id(entity) not in sched._ready
     assert sched.pick_for_cpu(0.0, 0) is None
+
+
+def test_net_thread_with_only_a_dead_containers_packets_wins_no_pick():
+    """Selecting a net thread's head discards a destroyed container's
+    stranded packets; a thread left with no work is idle, not
+    charge-nobody work that wins a pick with 0 us to run."""
+    host = Host(mode=SystemMode.RC, seed=13)
+    kernel = host.kernel
+    process = kernel.spawn_process("p")
+    thread = kernel.net_threads[process.pid]
+    doomed = kernel.containers.create("doomed")
+    thread.enqueue(doomed, Packet(seq=1, kind=PacketKind.DATA, src_addr=1), 10.0)
+    kernel.scheduler.on_wakeup(thread, 0.0)
+    kernel.containers.release(doomed)
+    picked = kernel.scheduler.pick_for_cpu(0.0, 0)
+    assert picked is not thread
+    assert picked is None or picked.work_remaining_us() > 0.0
+    assert id(thread) not in kernel.scheduler._ready
+    assert not thread.runnable and thread.pending_packets() == 0
+
+
+@pytest.mark.parametrize("make", [ContainerScheduler, ReferenceScheduler])
+def test_volatile_left_idle_by_charge_container_wins_no_pick(make):
+    manager = ContainerManager()
+    doomed = manager.create("doomed")
+    entity = VolatileFake("net", doomed)
+    sched = make(manager.root)
+    sched.attach(entity)
+    manager.release(doomed)
+    assert entity.runnable
+    assert sched.pick_for_cpu(0.0, 0) is None
+    assert not entity.runnable

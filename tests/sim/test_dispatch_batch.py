@@ -1,11 +1,11 @@
-"""The batched dispatch loop against a ``pop_due`` reference loop.
+"""The batched dispatch loop against a one-event-at-a-time reference loop.
 
 ``Simulation.run`` delegates the per-event loop to the queue's
 ``dispatch_batch``, the hottest code in the repository.  These tests
 drive *whole simulations* -- not bare queues -- through identical seeded
 workloads, once through ``Simulation.run`` and once through a plain
-``pop_due`` loop on the same queue, and require every observable
-to match: the dispatched ``(time, tag)`` stream, the clock after every
+peek-then-pop loop on the same queue, and require every observable
+to match: the dispatched ``(time, tag)`` stream, ``now`` after every
 bounded run segment, and the dispatch tally.  Callbacks schedule,
 cancel, and stop mid-batch, which is exactly where the batch loop's
 aliasing is dangerous (a cancel inside a callback can trigger heap
@@ -19,30 +19,37 @@ tail changes no order: a zero-delay event stopped, cut off by
 """
 
 import functools
+import heapq
 import random
 
 from repro.sim.engine import Simulation
 
 
 def _reference_run(sim, until=None, max_events=None) -> None:
-    """``Simulation.run``'s contract spelled out on ``pop_due``."""
+    """``Simulation.run``'s contract spelled out one event at a time:
+    peek at the head, pop it, fire it."""
+    queue = sim.queue
     sim._stop_requested = False
     dispatched = 0
     bounded = False
     while max_events is None or dispatched < max_events:
-        event, _when = sim.queue.pop_due(until)
-        if event is None:
+        when = queue.peek_time()  # drops cancelled heads
+        if when is None or (until is not None and when > until):
             bounded = True
             break
-        sim.clock.advance_to(event.when)
-        event.callback(*event.args)
+        entry = heapq.heappop(queue._heap)
+        callback, args = entry[2], entry[3]
+        entry[2] = None
+        assert when >= sim.now  # time never moves backwards
+        sim.now = when
+        callback(*args)
         dispatched += 1
         sim._events_dispatched += 1
         if sim._stop_requested:
             break
     if until is not None and sim.now < until:
-        if bounded or sim.queue.peek_time() is None:
-            sim.clock.advance_to(until)
+        if bounded or queue.peek_time() is None:
+            sim.now = until
 
 
 def _run_segmented(batched: bool, seed: int):
@@ -63,31 +70,30 @@ def _run_segmented(batched: bool, seed: int):
             # must queue behind them, and some stop the run.
             event = sim.after(0.0, cb, rng.randrange(10_000))
             if zero < 0.05:
-                sim.cancel(event, event.seq)
+                sim.cancel(event)
             else:
-                pending.append((event, event.seq))
+                pending.append(event)
             if zero > 0.25:
                 sim.at(sim.now, cb, rng.randrange(10_000))
             if 0.05 < zero < 0.07:
                 sim.stop()
         roll = rng.random()
         if roll < 0.55:
-            event = sim.after(rng.uniform(0.0, 2_000.0), cb, rng.randrange(10_000))
-            pending.append((event, event.seq))
+            pending.append(
+                sim.after(rng.uniform(0.0, 2_000.0), cb, rng.randrange(10_000))
+            )
         if roll < 0.25 and pending:
-            event, seq = pending.pop(rng.randrange(len(pending)))
-            sim.cancel(event, seq)
+            sim.cancel(pending.pop(rng.randrange(len(pending))))
         if roll < 0.004:
             # A cancellation burst: enough dead entries to compact.
-            for event, seq in pending[: len(pending) * 3 // 4]:
-                sim.cancel(event, seq)
+            for event in pending[: len(pending) * 3 // 4]:
+                sim.cancel(event)
             del pending[: len(pending) * 3 // 4]
         if roll > 0.995:
             sim.stop()
 
     for i in range(300):
-        event = sim.at(rng.uniform(0.0, 5_000.0), cb, i)
-        pending.append((event, event.seq))
+        pending.append(sim.at(rng.uniform(0.0, 5_000.0), cb, i))
 
     marks = []
     # Alternate until-bounded and count-bounded segments, then drain.
@@ -123,14 +129,14 @@ def test_in_callback_cancel_survives_heap_compaction():
     doomed = []
 
     def massacre() -> None:
-        for event, seq in doomed:
-            sim.cancel(event, seq)
+        for event in doomed:
+            sim.cancel(event)
 
     sim.at(1.0, massacre)
     for i in range(50):
         event = sim.at(10.0 + i, fired.append, i)
         if i % 4:
-            doomed.append((event, event.seq))
+            doomed.append(event)
     sim.run()
     assert sim.queue.compactions >= 1
     assert fired == [i for i in range(50) if not i % 4]
@@ -139,7 +145,7 @@ def test_in_callback_cancel_survives_heap_compaction():
 
 def test_max_events_exit_leaves_clock_at_last_event():
     # The old loop checked max_events before popping; a count-bounded
-    # exit must leave the clock at the last dispatched event even when
+    # exit must leave ``now`` at the last dispatched event even when
     # an until-horizon lies further out.
     sim = Simulation()
     for i in range(5):
@@ -215,8 +221,8 @@ def _zero_delay_world(batched: bool):
         note("cancel")
         live = len(sim.queue)
         event = sim.after(0.0, note, "cancel.zero")
-        sim.cancel(event, event.seq)
-        assert not event.pending and len(sim.queue) == live
+        sim.cancel(event)
+        assert event[2] is None and len(sim.queue) == live
 
     sim.at(1.0, note, "early")  # same instant, lower seq: runs first
     sim.at(1.0, spawner, "a")
