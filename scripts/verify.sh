@@ -18,7 +18,9 @@
 #      fig_disk_isolation smoke point (exercises repro.io end-to-end)
 #   0e. SMP charging conservation: a 4-core multi-threaded server run
 #      under the sanitizer must conserve CPU time per core
-#      (accounting-core-busy, core-busy-split, overcommitted-core)
+#      (accounting-core-busy, core-busy-split, overcommitted-core), and
+#      its slice, dispatch and steal records must hash to the pinned
+#      4-core schedule digest (a schedule change fails here)
 #   0g. monitor determinism: the fig_overload_onset monitored run twice
 #      must export byte-identical dashboards + monitor JSONL, and the
 #      unmodified host must carry a burn-rate alert
@@ -94,6 +96,8 @@ echo "disk trace determinism OK (byte-identical across runs)"
 
 echo "== tier-0e: SMP charging conservation (4 cores) =="
 python - <<'PYEOF'
+import hashlib
+
 from repro import Host, SystemMode, ip_addr
 from repro.apps.httpserver import MultiThreadedServer
 from repro.apps.webclient import HttpClient
@@ -103,6 +107,7 @@ config = KernelConfig(mode=SystemMode.RC, n_cpus=4)
 host = Host(mode=SystemMode.RC, seed=19, config=config, sanitize=True)
 host.kernel.fs.add_file("/index.html", 2048)
 host.kernel.fs.warm("/index.html")
+records = host.sim.trace.record(["cpu.slice", "sched.steal", "sched.dispatch"])
 MultiThreadedServer(host.kernel, n_threads=8).install()
 for i in range(16):
     HttpClient(host.kernel, ip_addr(10, 0, 0, i + 1), f"c{i}").start(
@@ -120,8 +125,20 @@ split = sum(cpu.core_busy_us)
 total = cpu.accounting.total_cpu_us
 if abs(split - total) > 1e-6:
     raise SystemExit(f"core-busy split {split} != accounting total {total}")
+h = hashlib.sha256()
+for record in records:
+    fields = "|".join(f"{k}={v!r}" for k, v in sorted(record.data.items()))
+    h.update(f"{record.time:.6f}|{record.category}|{fields}\n".encode())
+# Re-pin only for a deliberate schedule change, and say why in CHANGES.md
+# (tests/kernel/test_smp_sched.py pins the same digest).
+PINNED = "af688c7a9a0c2d655dde1b1439bd9779c8c8c10c3ddbc82c5b3e48ce0c95ec86"
+if h.hexdigest() != PINNED:
+    raise SystemExit(
+        f"4-core schedule FAILED: digest {h.hexdigest()} != pinned {PINNED}"
+    )
 print(f"SMP conservation OK (4 cores, {total / 1e6:.3f}s CPU charged, "
-      f"{host.kernel.scheduler.steals} steals, 0 violations)")
+      f"{host.kernel.scheduler.steals} steals, 0 violations, "
+      f"{len(records)} records match the pinned digest)")
 PYEOF
 
 echo "== tier-0g: monitor determinism =="

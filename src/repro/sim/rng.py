@@ -50,8 +50,17 @@ class SeededRng:
         return self._random.expovariate(rate)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in [low, high] inclusive.
+
+        The draw :meth:`random.Random.randint` makes, without its
+        ``randrange`` frames (a SYN flood draws one per spoofed packet).
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(
+                f"empty range for randrange() ({low}, {high + 1}, {width})"
+            )
+        return low + self._random._randbelow(width)
 
     def choice(self, items: Sequence[T]) -> T:
         """Uniform choice from a non-empty sequence."""

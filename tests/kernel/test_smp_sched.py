@@ -5,7 +5,7 @@ core, dequeue-on-dispatch, and a container-aware balancer with work
 stealing.  These tests pin the properties that rework must not lose:
 
 * seeded SMP runs are byte-deterministic (same digest twice) at 2 and
-  4 cores;
+  4 cores, and one 4-core run's schedule is pinned outright;
 * dequeue-on-dispatch means an entity can never be handed to two cores
   at once, including across a steal;
 * stealing actually happens under a real multi-threaded server load,
@@ -67,6 +67,36 @@ def _smp_digest(n_cpus: int, seed: int = 29) -> str:
 @pytest.mark.parametrize("n_cpus", [2, 4])
 def test_smp_schedule_digest_is_deterministic(n_cpus):
     assert _smp_digest(n_cpus) == _smp_digest(n_cpus)
+
+
+#: Every slice, dispatch and steal record of ``scripts/verify.sh``
+#: tier-0e's run.  Re-pin only for a deliberate schedule change (in
+#: both places), and say why.
+FOUR_CORE_DIGEST = (
+    "af688c7a9a0c2d655dde1b1439bd9779c8c8c10c3ddbc82c5b3e48ce0c95ec86"
+)
+
+
+def test_four_core_schedule_digest_is_pinned():
+    """Tier-0e's 4-core server run: 8 threads, 16 clients, 0.5 s."""
+    config = KernelConfig(mode=SystemMode.RC, n_cpus=4)
+    host = Host(mode=SystemMode.RC, seed=19, config=config)
+    host.kernel.fs.add_file("/index.html", 2048)
+    host.kernel.fs.warm("/index.html")
+    records = host.sim.trace.record(["cpu.slice", "sched.steal", "sched.dispatch"])
+    MultiThreadedServer(host.kernel, n_threads=8).install()
+    for i in range(16):
+        HttpClient(host.kernel, ip_addr(10, 0, 0, i + 1), f"c{i}").start(
+            at_us=2_000.0 + i * 120.0
+        )
+    host.run(seconds=0.5)
+    digest = hashlib.sha256()
+    for record in records:
+        fields = "|".join(f"{k}={v!r}" for k, v in sorted(record.data.items()))
+        digest.update(f"{record.time:.6f}|{record.category}|{fields}\n".encode())
+    assert host.kernel.scheduler.steals == 7_762
+    assert len(records) == 83_270
+    assert digest.hexdigest() == FOUR_CORE_DIGEST
 
 
 def _flat_sched(leaves: int, n_cpus: int):

@@ -1,5 +1,9 @@
 """Deterministic RNG behaviour."""
 
+import random
+
+import pytest
+
 from repro.sim.rng import SeededRng
 
 
@@ -44,6 +48,38 @@ def test_randint_bounds():
     values = [rng.randint(1, 6) for _ in range(200)]
     assert min(values) >= 1
     assert max(values) <= 6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20990131])
+def test_randint_stream_matches_random_randint(seed):
+    """Same values, and the same stream left behind, as
+    ``random.Random.randint`` over widths 1, powers of two (where the
+    bit-length draw is tightest) and their neighbours."""
+    rng = SeededRng(seed)
+    reference = random.Random(seed)
+    ranges = [
+        (5, 5),
+        (0, 1),
+        (1, 2),
+        (0, 7),
+        (0, 8),
+        (1, 1 << 16),
+        (1, (1 << 24) - 2),
+        (-3, 3),
+        (0, (1 << 40) + 1),
+        (1, 6),
+    ]
+    for low, high in ranges * 25:
+        assert rng.randint(low, high) == reference.randint(low, high)
+    assert rng.random() == reference.random()
+
+
+def test_randint_rejects_an_empty_range_as_random_does():
+    with pytest.raises(ValueError) as expected:
+        random.Random(3).randint(4, 3)
+    with pytest.raises(ValueError) as got:
+        SeededRng(3).randint(4, 3)
+    assert str(got.value) == str(expected.value)
 
 
 def test_uniform_bounds():
