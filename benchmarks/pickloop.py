@@ -49,8 +49,8 @@ class BenchEntity:
     def charge_container(self):
         return self.container
 
-    def scheduler_containers(self):
-        return [self.container]
+    def scheduler_priority(self):
+        return self.container.attrs.numeric_priority
 
 
 def _scheduler(manager, n_cpus: int) -> ContainerScheduler:

@@ -13,7 +13,9 @@
 #      units UNIT4xx over src/repro, against the one reasoned baseline
 #   0b. trace determinism: a traced fig11 smoke run twice must export
 #      byte-identical artifacts, and the Chrome trace must be
-#      schema-valid JSON
+#      schema-valid JSON; the SYN-flood packet path (the benchmark's
+#      synflood point, RC and an LRP twin) must hash its demux,
+#      enqueue, dispatch and slice records to the pinned digests
 #   0c. disk-path trace determinism: the same gate over a traced
 #      fig_disk_isolation smoke point (exercises repro.io end-to-end)
 #   0e. SMP charging conservation: a 4-core multi-threaded server run
@@ -81,6 +83,19 @@ if problems:
     raise SystemExit(1)
 print(f"trace determinism OK ({len(document['traceEvents'])} events, "
       "byte-identical across runs)")
+PYEOF
+python - <<'PYEOF'
+from repro import SystemMode
+from tests.net.test_flood_digest import EXPECTED, flood_path_digest
+
+for mode in (SystemMode.RC, SystemMode.LRP):
+    digest, count = flood_path_digest(mode)
+    if digest != EXPECTED[mode]:
+        raise SystemExit(
+            f"flood path FAILED ({mode.value}): digest {digest} != pinned "
+            f"{EXPECTED[mode]}"
+        )
+    print(f"flood path OK ({mode.value}: {count} records match the pin)")
 PYEOF
 
 echo "== tier-0c: disk-path trace determinism =="

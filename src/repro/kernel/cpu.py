@@ -313,8 +313,9 @@ class CPU:
                 scheduler.on_slice_end(entity, now)
                 self._schedule_dispatch()
                 continue
+            charge = entity.charge_container()
             quantum = scheduler.quantum_us
-            bound = scheduler.slice_bound_us(entity)
+            bound = scheduler.slice_bound_us(charge)
             slice_work = min(work, quantum, max(bound, 1.0))
             switch_cost = 0.0
             if (
@@ -324,7 +325,6 @@ class CPU:
                 switch_cost = self._switch_cost(core.last_entity, entity)
                 self.accounting.context_switches += 1
             planned = slice_work + switch_cost
-            charge = entity.charge_container()
             if sim.trace.active:
                 sim.trace.publish(
                     now,
@@ -544,9 +544,9 @@ class CPU:
         return costs.context_switch
 
     def _priority_of(self, entity: object) -> int:
-        members = entity.scheduler_containers()
-        if members:
-            return max(c.attrs.numeric_priority for c in members)
+        priority = entity.scheduler_priority()
+        if priority is not None:
+            return priority
         container = entity.charge_container()
         return container.attrs.numeric_priority if container is not None else 0
 

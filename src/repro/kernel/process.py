@@ -121,8 +121,8 @@ class Thread:
     def charge_container(self) -> Optional[ResourceContainer]:
         return self.resource_binding
 
-    def scheduler_containers(self) -> list[ResourceContainer]:
-        return self.scheduler_binding.members()
+    def scheduler_priority(self) -> Optional[int]:
+        return self.scheduler_binding.combined_priority()
 
     # -- work protocol (driven by the CPU dispatcher) ---------------------
 

@@ -16,7 +16,7 @@ we implement that as the ``negate`` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, TypeVar
 
 from repro.net.packet import format_ip
@@ -27,41 +27,38 @@ class AddrFilter:
     """<template-address, CIDR-mask> filter, optionally complemented.
 
     ``prefix_len`` of 0 matches every address (the default/wildcard
-    socket); 32 matches exactly one host.
+    socket); 32 matches exactly one host.  The fields after ``negate``
+    are derived at construction and take no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     template: int
     prefix_len: int
     negate: bool = False
+    #: The CIDR netmask as a 32-bit integer.
+    mask: int = field(init=False, compare=False, repr=False)
+    #: ``template & mask``: what a matching address masks to.
+    network: int = field(init=False, compare=False, repr=False)
+    #: Longer prefixes win demultiplexing ties.  A negated filter is
+    #: deliberately *less* specific than any positive filter of the same
+    #: length: "everyone except X" is a coarser statement about the
+    #: matched address than "exactly X's prefix".
+    specificity: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.prefix_len <= 32:
             raise ValueError(f"prefix_len must be 0..32, got {self.prefix_len}")
         if not 0 <= self.template <= 0xFFFF_FFFF:
             raise ValueError(f"template must be a 32-bit address")
-
-    @property
-    def mask(self) -> int:
-        """The CIDR netmask as a 32-bit integer."""
-        if self.prefix_len == 0:
-            return 0
-        return (0xFFFF_FFFF << (32 - self.prefix_len)) & 0xFFFF_FFFF
+        mask = (0xFFFF_FFFF << (32 - self.prefix_len)) & 0xFFFF_FFFF
+        specificity = -self.prefix_len if self.negate else self.prefix_len
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "network", self.template & mask)
+        object.__setattr__(self, "specificity", specificity)
 
     def matches(self, addr: int) -> bool:
         """True if ``addr`` falls inside (or, negated, outside) the prefix."""
-        inside = (addr & self.mask) == (self.template & self.mask)
-        return (not inside) if self.negate else inside
-
-    @property
-    def specificity(self) -> int:
-        """Longer prefixes win demultiplexing ties.
-
-        A negated filter is deliberately *less* specific than any
-        positive filter of the same length: "everyone except X" is a
-        coarser statement about the matched address than "exactly X's
-        prefix".
-        """
-        return self.prefix_len if not self.negate else -self.prefix_len
+        return ((addr & self.mask) == self.network) != self.negate
 
     def __str__(self) -> str:
         prefix = f"{format_ip(self.template)}/{self.prefix_len}"
@@ -91,9 +88,7 @@ def best_match(candidates: Iterable[F], addr: int) -> Optional[F]:
     best_spec = -1000
     for candidate in candidates:
         addr_filter = candidate.addr_filter or WILDCARD
-        if not addr_filter.matches(addr):
-            continue
-        if addr_filter.specificity > best_spec:
+        if addr_filter.specificity > best_spec and addr_filter.matches(addr):
             best_spec = addr_filter.specificity
             best = candidate
     return best

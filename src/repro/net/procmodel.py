@@ -57,7 +57,7 @@ DEFAULT_NET_QUEUE_LIMIT = 256
 
 
 #: A ``KernelNetThread._waiting`` stamp no version or epoch matches.
-_STALE = (-1, -1, (), None)
+_STALE = (-1, -1, None)
 
 
 class KernelNetThread:
@@ -80,9 +80,10 @@ class KernelNetThread:
     #: scheduler keeps woken net threads in a ready set and drops them
     #: lazily once they are idle, so idle net threads cost a pick nothing.
     #: Evaluating the key is cheap between queue changes: the waiting
-    #: containers and their best priority are memoized (see
-    #: :meth:`_waiting_memo`), so repeated picks, preemption checks and
-    #: head re-checks over unchanged queues re-derive nothing.
+    #: containers' best priority is memoized (see :meth:`_waiting_memo`),
+    #: so repeated picks, preemption checks and head re-checks over
+    #: unchanged queues re-derive nothing, and an overflow drop on a
+    #: full queue leaves the memo standing.
     sched_push_notify = False
 
     def __init__(
@@ -109,11 +110,11 @@ class KernelNetThread:
         #: arrivals (selection happens at scheduler-evaluation time,
         #: which may be long before the thread actually runs).
         self._head_started = False
-        #: Bumped by every queue mutation (append, overflow drop, head
-        #: pop, displacement push-back, dead-queue clear).
+        #: Bumped by every queue mutation (append, relabelling overflow
+        #: drop, head pop, displacement push-back, dead-queue clear).
         self._version = 0
-        #: (version, hierarchy epoch, live waiting containers, their best
-        #: priority or None): see :meth:`_waiting_memo`.
+        #: (version, hierarchy epoch, best priority among the live
+        #: waiting containers or None): see :meth:`_waiting_memo`.
         self._waiting: tuple = _STALE
         self.stats_processed = 0
         self.stats_dropped = 0
@@ -140,13 +141,13 @@ class KernelNetThread:
         """
         key = queue_key if queue_key is not None else ("container", container.cid)
         queue = self._queues.get(key)
-        if queue is None:
-            queue = deque()
-            self._queues[key] = queue
-        self._containers[key] = container
-        self._version += 1
         trace = self.kernel.sim.trace
-        if len(queue) >= self.queue_limit:
+        if queue is not None and len(queue) >= self.queue_limit:
+            # A drop whose key already charges ``container`` (always, for
+            # RC and LRP keys) changes nothing the waiting memo reads.
+            if self._containers[key] is not container:
+                self._containers[key] = container
+                self._version += 1
             self.stats_dropped += 1
             container.usage.packets_dropped += 1
             if trace.active:
@@ -159,6 +160,10 @@ class KernelNetThread:
                     dropped=True,
                 )
             return False
+        if queue is None:
+            queue = self._queues[key] = deque()
+        self._containers[key] = container
+        self._version += 1
         queue.append((packet, cost_us))
         if trace.active:
             trace.publish(
@@ -190,12 +195,12 @@ class KernelNetThread:
             return None
         return self._head[1]
 
-    def scheduler_containers(self) -> list[ResourceContainer]:
-        """Live containers with packets waiting behind the head.
+    def scheduler_priority(self) -> Optional[int]:
+        """Best priority among live containers with packets waiting
+        behind the head, or None when none waits.
 
         A destroyed container's stranded packets lend it no priority;
-        they are discarded at the next head selection.  The list is the
-        memo's own (:meth:`_waiting_memo`): callers must not mutate it.
+        they are discarded at the next head selection.
         """
         memo = self._waiting
         if memo[0] != self._version or memo[1] != hierarchy_epoch():
@@ -203,23 +208,21 @@ class KernelNetThread:
         return memo[2]
 
     def _waiting_memo(self) -> tuple:
-        """Recompute ``_waiting``: (version, epoch, live waiting
-        containers, their best priority or None).
+        """Recompute ``_waiting``: (version, epoch, best priority among
+        the live waiting containers, or None).
 
         Readers recompute only when its stamp moved: every queue
         mutation bumps ``_version``, and destroying a container or
         replacing its attributes bumps the hierarchy epoch, so the memo
         is exact.
         """
-        seen: dict[int, ResourceContainer] = {}
         best = None
         for container in self._containers.values():
             if container.alive:
-                seen[container.cid] = container
                 priority = container.attrs.numeric_priority
                 if best is None or priority > best:
                     best = priority
-        memo = (self._version, hierarchy_epoch(), list(seen.values()), best)
+        memo = (self._version, hierarchy_epoch(), best)
         self._waiting = memo
         return memo
 
@@ -272,7 +275,7 @@ class KernelNetThread:
 
         An un-started head is displaced if strictly higher-priority
         traffic has arrived since it was tentatively selected (the best
-        waiting priority is read from :meth:`_waiting_memo`), and is
+        waiting priority is :meth:`scheduler_priority`), and is
         discarded if its container has died since, as the container's
         waiting packets are; once protocol processing has consumed CPU,
         the packet completes.
@@ -283,10 +286,7 @@ class KernelNetThread:
                 return
             container = head[1]
             if container.alive:
-                memo = self._waiting
-                if memo[0] != self._version or memo[1] != hierarchy_epoch():
-                    memo = self._waiting_memo()
-                best_waiting = memo[3]
+                best_waiting = self.scheduler_priority()
                 if (
                     best_waiting is None
                     or best_waiting <= container.attrs.numeric_priority

@@ -22,6 +22,11 @@ class Schedulable(Protocol):
     #: Human-readable identifier for traces.
     name: str
 
+    #: True if its key only changes through notified channels (wakeups,
+    #: ``sched_note_change``, the binding's ``on_change``), so a scheduler
+    #: may index it; False (net threads) has it evaluated at every pick.
+    sched_push_notify: bool
+
     @property
     def runnable(self) -> bool:
         """True when the entity has work and is not blocked."""
@@ -36,11 +41,14 @@ class Schedulable(Protocol):
         """
         ...
 
-    def scheduler_containers(self) -> list[ResourceContainer]:
-        """The containers the entity is currently multiplexed over.
+    def scheduler_priority(self) -> Optional[int]:
+        """The highest numeric priority over the containers the entity
+        is currently multiplexed over, or None when there are none.
 
-        For a thread this is its scheduler binding (section 4.3); for a
-        network thread, the set of containers with pending packets.
+        For a thread those are its scheduler binding (section 4.3); for
+        a network thread, the live containers with packets waiting
+        behind its head.  On None, schedulers use the charge
+        container's own priority.
         """
         ...
 
@@ -169,12 +177,9 @@ class Scheduler(abc.ABC):
     def window_roll(self, now: float) -> None:
         """Advance the cap-accounting window (default: nothing)."""
 
-    def is_throttled(self, entity: Schedulable, now: float) -> bool:
-        """True if resource limits currently forbid running ``entity``."""
-        return False
-
-    def slice_bound_us(self, entity: Schedulable) -> float:
-        """Upper bound on the next slice length for ``entity``.
+    def slice_bound_us(self, container: Optional[ResourceContainer]) -> float:
+        """Upper bound on the length of a slice charged to ``container``
+        (the dispatched entity's ``charge_container()``).
 
         Schedulers enforcing windowed CPU caps return the remaining
         budget so a slice never overshoots the cap; others return inf.

@@ -122,11 +122,6 @@ def _node_state(container: ResourceContainer) -> SchedulerNodeState:
     return state
 
 
-def _push_notify(entity: Schedulable) -> bool:
-    """True if the entity promises change notifications (indexable)."""
-    return bool(getattr(entity, "sched_push_notify", False))
-
-
 #: :meth:`ContainerScheduler._pick_parked`'s "unpark, take the full pick".
 _FULL_PICK = object()
 
@@ -250,7 +245,7 @@ class ContainerScheduler(Scheduler):
         self._last_ran[eid] = 0
         self._attach_seq += 1
         self._order[eid] = self._attach_seq
-        if _push_notify(entity):
+        if entity.sched_push_notify:
             self._install_hooks(entity)
             self._sync_epoch()  # may already index us via a rebuild
             if (
@@ -276,7 +271,7 @@ class ContainerScheduler(Scheduler):
         if cpu is not None:
             self._active_count[cpu] -= 1
         self._ready.pop(eid, None)
-        if _push_notify(entity):
+        if entity.sched_push_notify:
             self._remove_hooks(entity)
 
     def _install_hooks(self, entity: Schedulable) -> None:
@@ -348,7 +343,7 @@ class ContainerScheduler(Scheduler):
         active = self._active
         for entity in self._entities.values():
             if (
-                _push_notify(entity)
+                entity.sched_push_notify
                 and entity.runnable
                 and id(entity) not in active
             ):
@@ -504,7 +499,7 @@ class ContainerScheduler(Scheduler):
         eid = id(entity)
         if eid not in self._order:
             return
-        if not _push_notify(entity):
+        if not entity.sched_push_notify:
             self._ready[eid] = entity  # its key is evaluated at pick time
             return
         self._sync_epoch()
@@ -531,16 +526,9 @@ class ContainerScheduler(Scheduler):
         self._sync_epoch()
         return self._capped(container)
 
-    def is_throttled(self, entity: Schedulable, now: float) -> bool:
-        container = entity.charge_container()
-        if container is None:
-            return False
-        return self.capped_out(container)
-
-    def slice_bound_us(self, entity: Schedulable) -> float:
+    def slice_bound_us(self, container: Optional[ResourceContainer]) -> float:
         """Remaining window budget along the charge container's ancestor
         chain, so one slice cannot overshoot a hard cap."""
-        container = entity.charge_container()
         if container is None:
             return float("inf")
         self._sync_epoch()
@@ -735,7 +723,7 @@ class ContainerScheduler(Scheduler):
         cpu = self._active.pop(eid, None)
         if cpu is not None:
             self._active_count[cpu] -= 1
-        if eid not in self._order or not _push_notify(entity):
+        if eid not in self._order or not entity.sched_push_notify:
             return  # detached mid-slice, or volatile (never indexed)
         self._sync_epoch()
         if entity.runnable and eid not in self._pos and entity is not self._parked:
@@ -1067,15 +1055,16 @@ class ContainerScheduler(Scheduler):
     ) -> int:
         """Priority of an entity: combined over its scheduler binding.
 
-        Multiplexed threads take the max priority over the containers
-        they serve (see :meth:`SchedulerBinding.combined_priority`);
-        entities whose binding set is empty fall back to the charge
-        container's own priority.
+        The entity reports the max priority over the containers it
+        serves (:meth:`Schedulable.scheduler_priority`: a thread's
+        :meth:`SchedulerBinding.combined_priority`, a net thread's
+        memoized best waiting priority); an entity serving none falls
+        back to the charge container's own priority.
         """
-        members = entity.scheduler_containers()
-        if members:
-            return max(c.attrs.numeric_priority for c in members)
-        return container.attrs.numeric_priority
+        priority = entity.scheduler_priority()
+        if priority is None:
+            return container.attrs.numeric_priority
+        return priority
 
     # ------------------------------------------------------------------
     # Charging

@@ -71,8 +71,8 @@ def test_combined_priority_is_max():
     assert binding.combined_priority() == 9
 
 
-def test_combined_priority_empty_is_zero():
-    assert SchedulerBinding().combined_priority() == 0
+def test_combined_priority_empty_is_none():
+    assert SchedulerBinding().combined_priority() is None
 
 
 def test_bind_thread_moves_reference():

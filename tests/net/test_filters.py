@@ -1,11 +1,15 @@
 """The filtered sockaddr namespace: CIDR matching and demultiplexing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Host, SystemMode
 from repro.net.filters import WILDCARD, AddrFilter, best_match
 from repro.net.packet import ip_addr
+from repro.net.tcp import ListenSocket
 
 
 class Holder:
@@ -131,3 +135,95 @@ def test_negation_is_complement(template, prefix_len, addr):
     positive = AddrFilter(template=template, prefix_len=prefix_len)
     negative = AddrFilter(template=template, prefix_len=prefix_len, negate=True)
     assert positive.matches(addr) != negative.matches(addr)
+
+
+# ---------------------------------------------------------------------------
+# Demultiplexing against a reference scan of the section 4.8 rule
+# ---------------------------------------------------------------------------
+
+
+def test_filter_identity_is_template_prefix_negate():
+    """The derived fields (mask, network, specificity) take no part in
+    equality, hashing or ``repr``."""
+    a = AddrFilter(ip_addr(10, 0, 0, 0), 8)
+    b = AddrFilter(template=ip_addr(10, 0, 0, 0), prefix_len=8, negate=False)
+    assert a == b and hash(a) == hash(b)
+    assert a != AddrFilter(ip_addr(10, 0, 0, 0), 8, negate=True)
+    assert a != AddrFilter(ip_addr(10, 0, 0, 0), 16)
+    assert len({a, b, WILDCARD}) == 2
+    assert repr(a) == "AddrFilter(template=167772160, prefix_len=8, negate=False)"
+    assert str(AddrFilter(ip_addr(66, 6, 6, 6), 32, negate=True)) == "!66.6.6.6/32"
+    assert (a.mask, a.network, a.specificity) == (0xFF000000, ip_addr(10, 0, 0, 0), 8)
+    assert AddrFilter(ip_addr(10, 9, 9, 9), 8, negate=True).network == ip_addr(10, 0, 0, 0)
+    assert AddrFilter(ip_addr(10, 9, 9, 9), 8, negate=True).specificity == -8
+
+
+@pytest.mark.parametrize("template", [-1, 0x1_0000_0000])
+def test_invalid_template_rejected(template):
+    with pytest.raises(ValueError):
+        AddrFilter(template=template, prefix_len=8)
+
+
+def reference_listener(listeners, port, addr):
+    """Section 4.8, scanned the slow way: among the open listeners on
+    ``port`` whose filter admits ``addr``, the most specific wins (a
+    longer prefix is more specific; a negated filter ranks below every
+    positive one, and below it by its own length); ties go to the
+    earliest bound.  No filter means the wildcard."""
+
+    def admits(addr_filter):
+        if addr_filter is None:
+            return True
+        inside = reference_matches(addr_filter.template, addr_filter.prefix_len, addr)
+        return inside != addr_filter.negate
+
+    def rank(addr_filter):
+        if addr_filter is None:
+            return 0
+        length = addr_filter.prefix_len
+        return -length if addr_filter.negate else length
+
+    admitted = [
+        (index, s)
+        for index, s in enumerate(listeners)
+        if s.port == port and not s.closed and admits(s.addr_filter)
+    ]
+    if not admitted:
+        return None
+    return min(admitted, key=lambda item: (-rank(item[1].addr_filter), item[0]))[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_demux_listener_matches_reference_scan(seed):
+    """Seeded listener sets -- wildcards, nested prefixes, negated,
+    closed and other-port sockets -- demultiplex exactly as the
+    reference scan does, through ``TcpStack.demux_listener`` and
+    ``best_match`` alike."""
+    rng = random.Random(seed)
+    host = Host(mode=SystemMode.RC, seed=seed)
+    stack = host.kernel.stack
+    process = host.kernel.spawn_process("srv")
+    bases = [ip_addr(10, 1, 2, 3), ip_addr(66, 6, 6, 6), ip_addr(10, 1, 200, 9)]
+    for _ in range(rng.randrange(1, 12)):
+        roll = rng.random()
+        if roll < 0.2:
+            addr_filter = None if rng.random() < 0.5 else WILDCARD
+        else:
+            addr_filter = AddrFilter(
+                template=rng.choice(bases),
+                prefix_len=rng.choice([0, 8, 16, 24, 32]),
+                negate=rng.random() < 0.3,
+            )
+        socket = ListenSocket(process, rng.choice([80, 80, 80, 81]), addr_filter)
+        socket.closed = rng.random() < 0.15
+        stack.listeners.append(socket)
+    probes = bases + [ip_addr(10, 1, 2, 99), ip_addr(10, 9, 9, 9), ip_addr(99, 0, 0, 1)]
+    kinds = {"none": 0, "found": 0}
+    for addr in probes:
+        for port in (80, 81, 82):
+            expected = reference_listener(stack.listeners, port, addr)
+            assert stack.demux_listener(port, addr) is expected
+            open_here = [s for s in stack.listeners if s.port == port and not s.closed]
+            assert best_match(open_here, addr) is expected
+            kinds["none" if expected is None else "found"] += 1
+    assert all(kinds.values()), kinds

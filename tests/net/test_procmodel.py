@@ -143,7 +143,7 @@ def _observe(thread):
         thread.runnable,
         thread.charge_container(),
         thread.work_remaining_us(),
-        thread.scheduler_containers(),
+        thread.scheduler_priority(),
         thread.runnable,
     )
 
@@ -152,7 +152,8 @@ def _observe(thread):
 def test_waiting_memo_matches_recomputation(setup, seed):
     """Seeded queue churn through a memoized net thread and its twin
     that recomputes the waiting set on every read: every observation
-    agrees after every op."""
+    agrees after every op, and an overflow drop leaves the memoized
+    thread's version and memo as they were."""
     host, process, _net_thread = setup
     manager = host.kernel.containers
     rng = random.Random(seed)
@@ -163,7 +164,7 @@ def test_waiting_memo_matches_recomputation(setup, seed):
         manager.create(f"c{i}", attrs=timeshare_attrs(priority=i % 3))
         for i in range(4)
     ]
-    seen = {"overflow": 0, "displaced": 0, "released": 0}
+    seen = {"overflow": 0, "memo kept": 0, "displaced": 0, "released": 0}
     for step in range(400):
         roll = rng.random()
         live = [c for c in pool if c.alive]
@@ -172,8 +173,15 @@ def test_waiting_memo_matches_recomputation(setup, seed):
             key = ("socket", rng.randrange(2)) if rng.random() < 0.4 else None
             p = Packet(seq=step + 1, kind=PacketKind.DATA, src_addr=1)
             cost = rng.uniform(1.0, 9.0)
+            memoized.scheduler_priority()  # a fresh memo, to watch it stand
+            before = (memoized._version, memoized._waiting)
+            charged = memoized._containers.get(key or ("container", container.cid))
             results = [t.enqueue(container, p, cost, key) for t in twins]
             assert results[0] == results[1]
+            if not results[0] and charged is container:
+                # A drop that relabels nothing leaves the memo standing.
+                assert (memoized._version, memoized._waiting) == before
+                seen["memo kept"] += 1
             seen["overflow"] += not results[0]
         elif roll < 0.65:
             remaining = [t.work_remaining_us() for t in twins]
@@ -186,7 +194,8 @@ def test_waiting_memo_matches_recomputation(setup, seed):
                     taken = [t.take_completed() for t in twins]
                     assert taken[0] == taken[1]
         elif roll < 0.75 and live:
-            queued = [c for c in live if c in memoized.scheduler_containers()]
+            waiting = list(memoized._containers.values())
+            queued = [c for c in live if c in waiting]
             victim = rng.choice(queued or live)
             manager.release(victim)
             seen["released"] += bool(queued)
@@ -209,14 +218,16 @@ def test_waiting_memo_matches_recomputation(setup, seed):
     assert all(seen.values()), seen
 
 
-def test_scheduler_containers_lists_pending(setup):
+def test_scheduler_priority_reads_pending(setup):
     host, _process, net_thread = setup
-    a = host.kernel.containers.create("a")
-    b = host.kernel.containers.create("b")
+    a = host.kernel.containers.create("a", attrs=timeshare_attrs(priority=3))
+    b = host.kernel.containers.create("b", attrs=timeshare_attrs(priority=5))
+    assert net_thread.scheduler_priority() is None
     net_thread.enqueue(a, packet(0), 1.0)
     net_thread.enqueue(b, packet(1), 1.0)
-    names = {c.name for c in net_thread.scheduler_containers()}
-    assert names >= {"a"} or names >= {"b"}  # head may have been taken
+    assert net_thread.scheduler_priority() == 5
+    assert net_thread.charge_container() is b  # the head leaves the waiting set
+    assert net_thread.scheduler_priority() == 3
     assert net_thread.pending_packets() == 2
 
 
@@ -230,9 +241,9 @@ def test_destroyed_container_lends_no_priority(setup):
     net_thread.enqueue(low, packet(0), 10.0)
     net_thread.advance(5.0)  # the priority-1 head is being processed
     net_thread.enqueue(high, packet(1), 10.0)
-    assert net_thread.scheduler_containers() == [high]
+    assert net_thread.scheduler_priority() == 9
     manager.release(high)
-    assert net_thread.scheduler_containers() == []
+    assert net_thread.scheduler_priority() is None
     assert net_thread.charge_container() is low
     priority = host.kernel.scheduler._combined_priority(net_thread, low)
     assert priority == 1

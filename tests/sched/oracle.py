@@ -34,7 +34,7 @@ SMP: the per-core rule
 ----------------------
 With ``n_cpus > 1`` a core applies this rule:
 
-* it considers every volatile entity (no ``sched_push_notify``: kernel
+* it considers every volatile entity (``sched_push_notify`` False: kernel
   net threads) plus the push-notify entities queued on its own shard;
 * it steals from another shard only from a layer strictly above its own
   best candidate, or from any layer when it has no candidate;
@@ -127,8 +127,7 @@ class ReferenceScheduler(Scheduler):
                 return True
         return False
 
-    def slice_bound_us(self, entity) -> float:
-        container = entity.charge_container()
+    def slice_bound_us(self, container) -> float:
         bound = float("inf")
         if container is not None:
             for node in ancestors_and_self(container):
@@ -178,8 +177,9 @@ class ReferenceScheduler(Scheduler):
         if self.capped_out(container):
             return None
         group = top_level_of(container)
-        members = entity.scheduler_containers() or [container]
-        priority = max(c.attrs.numeric_priority for c in members)
+        priority = entity.scheduler_priority()
+        if priority is None:
+            priority = container.attrs.numeric_priority
         return (-priority, self._pass.get(group.cid, 0.0)) + stamp, group
 
     def pick_for_cpu(self, now: float, cpu: int, exclude: Optional[set] = None):
@@ -202,7 +202,7 @@ class ReferenceScheduler(Scheduler):
                 continue
             candidate = found + (entity,)
             home = cpu
-            if homes is not None and getattr(entity, "sched_push_notify", False):
+            if homes is not None and entity.sched_push_notify:
                 home = homes[eid]
             if home != cpu:
                 away.setdefault(home, []).append(candidate)
@@ -244,6 +244,8 @@ class VolatileFake:
     ``charge_container()`` discards the work (counted in ``stranded``),
     returns None and leaves the fake not runnable."""
 
+    sched_push_notify = False
+
     def __init__(self, name, container, sched_containers=None):
         self.name = name
         self.container = container
@@ -259,10 +261,11 @@ class VolatileFake:
             self.stranded += 1
         return self.container
 
-    def scheduler_containers(self):
-        if self.sched_containers is not None:
-            return self.sched_containers
-        return [self.container] if self.container is not None else []
+    def scheduler_priority(self):
+        members = self.sched_containers
+        if members is None:
+            members = [self.container] if self.container is not None else []
+        return max((c.attrs.numeric_priority for c in members), default=None)
 
 
 class IndexedFake:
@@ -291,8 +294,9 @@ class IndexedFake:
     def charge_container(self):
         return self._container
 
-    def scheduler_containers(self):
-        return [self._container] if self._container is not None else []
+    def scheduler_priority(self):
+        container = self._container
+        return container.attrs.numeric_priority if container is not None else None
 
 
 class BoundFake(IndexedFake):
@@ -304,8 +308,8 @@ class BoundFake(IndexedFake):
         self.scheduler_binding = SchedulerBinding()
         self.scheduler_binding.observe(container, 0.0)
 
-    def scheduler_containers(self):
-        return self.scheduler_binding.members()
+    def scheduler_priority(self):
+        return self.scheduler_binding.combined_priority()
 
 
 def run(sched, steps: int, start: float = 0.0) -> dict[str, float]:

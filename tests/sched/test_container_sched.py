@@ -75,7 +75,6 @@ def test_cpu_limit_throttles_within_window(setup):
     # Burn 30% of the window.
     leaf.charge_cpu(3_000.0)
     assert sched.capped_out(leaf)
-    assert sched.is_throttled(entity, 0.0)
     assert sched.pick_for_cpu(0.0, 0) is None
     sched.window_roll(10_000.0)
     assert sched.pick_for_cpu(10_000.0, 0) is entity

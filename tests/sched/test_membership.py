@@ -14,6 +14,8 @@ class EqualEntity:
     """Schedulable whose value equality ignores identity, like a
     dataclass: two of them compare equal yet are distinct threads."""
 
+    sched_push_notify = False
+
     def __init__(self, name, container):
         self.name = name
         self.container = container
@@ -27,8 +29,8 @@ class EqualEntity:
     def charge_container(self):
         return self.container
 
-    def scheduler_containers(self):
-        return [self.container]
+    def scheduler_priority(self):
+        return self.container.attrs.numeric_priority
 
 
 @pytest.mark.parametrize(
